@@ -1,130 +1,20 @@
-"""Hot inner loops: numba-jitted kernels with a pure-numpy fallback.
-
-Backend selection happens once at import time. Set ``CONVLAB_NUMBA=0``
-(or ``false``/``off``/``no``) to force the numpy path; anything else uses
-numba when it is importable. Both implementations of every kernel are
-exported so tests and benchmarks can compare them directly.
-"""
+"""Vectorised polynomial kernels for the sampled injectivity cross-check."""
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 
-def _env_wants_numba() -> bool:
-    flag = os.environ.get("CONVLAB_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "off", "no")
-
-
-_HAVE_NUMBA = False
-if _env_wants_numba():
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        _HAVE_NUMBA = False
-
-
-def backend() -> str:
-    return "numba" if _HAVE_NUMBA else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# numpy reference implementations
-# ---------------------------------------------------------------------------
-
-def polyval_many_numpy(coeffs_desc: np.ndarray, z: np.ndarray) -> np.ndarray:
+def polyval_many(coeffs_desc: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Horner evaluation of a real-coefficient polynomial at many complex points.
 
     ``coeffs_desc`` is highest degree first, as in numpy's poly1d convention.
     """
-    out = np.zeros_like(z, dtype=np.complex128)
-    for c in coeffs_desc:
-        out *= z
-        out += c
-    return out
+    return np.polyval(coeffs_desc, np.asarray(z, dtype=np.complex128))
 
 
-def count_lipschitz_violations_numpy(qcoeffs_desc, z1, z2, lip, slack) -> int:
+def count_lipschitz_violations(qcoeffs_desc, z1, z2, lip, slack) -> int:
     """Count pairs with |q(z1)-q(z2)| < lip*|z1-z2| - slack."""
-    q1 = polyval_many_numpy(qcoeffs_desc, z1)
-    q2 = polyval_many_numpy(qcoeffs_desc, z2)
-    lhs = np.abs(q1 - q2)
+    lhs = np.abs(polyval_many(qcoeffs_desc, z1) - polyval_many(qcoeffs_desc, z2))
     rhs = lip * np.abs(z1 - z2) - slack
     return int(np.count_nonzero(lhs < rhs))
-
-
-def direct_circular_conv1d_numpy(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """O(M^2) circular convolution, out[n] = sum_k f[k] g[(n-k) mod M]."""
-    m = f.shape[0]
-    idx = (np.arange(m)[:, None] - np.arange(m)[None, :]) % m
-    return (f[None, :] * g[idx]).sum(axis=1)
-
-
-# ---------------------------------------------------------------------------
-# numba twins
-# ---------------------------------------------------------------------------
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def polyval_many_numba(coeffs_desc, z):
-        out = np.empty(z.shape[0], dtype=np.complex128)
-        for i in range(z.shape[0]):
-            acc = 0.0 + 0.0j
-            for c in coeffs_desc:
-                acc = acc * z[i] + c
-            out[i] = acc
-        return out
-
-    @njit(cache=True)
-    def count_lipschitz_violations_numba(qcoeffs_desc, z1, z2, lip, slack):
-        bad = 0
-        for i in range(z1.shape[0]):
-            a = 0.0 + 0.0j
-            b = 0.0 + 0.0j
-            for c in qcoeffs_desc:
-                a = a * z1[i] + c
-                b = b * z2[i] + c
-            if abs(a - b) < lip * abs(z1[i] - z2[i]) - slack:
-                bad += 1
-        return bad
-
-    @njit(cache=True)
-    def direct_circular_conv1d_numba(f, g):
-        m = f.shape[0]
-        out = np.zeros(m, dtype=np.float64)
-        for n in range(m):
-            acc = 0.0
-            for k in range(m):
-                acc += f[k] * g[(n - k) % m]
-            out[n] = acc
-        return out
-
-else:  # pragma: no cover - exercised via CONVLAB_NUMBA=0 subprocess tests
-    polyval_many_numba = None
-    count_lipschitz_violations_numba = None
-    direct_circular_conv1d_numba = None
-
-
-if _HAVE_NUMBA:
-    polyval_many = polyval_many_numba
-    count_lipschitz_violations = count_lipschitz_violations_numba
-    direct_circular_conv1d = direct_circular_conv1d_numba
-else:
-    polyval_many = polyval_many_numpy
-    count_lipschitz_violations = count_lipschitz_violations_numpy
-    direct_circular_conv1d = direct_circular_conv1d_numpy
-
-
-def warmup() -> None:
-    """Trigger JIT compilation so timed sections never pay compile cost."""
-    c = np.array([1.0, 0.0], dtype=np.float64)
-    z = np.array([0.1 + 0.1j, 0.2 - 0.1j])
-    polyval_many(c, z)
-    count_lipschitz_violations(c, z, z + 0.1, 0.5, 1e-14)
-    v = np.array([1.0, 2.0, 3.0, 4.0])
-    direct_circular_conv1d(v, v)

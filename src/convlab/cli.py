@@ -119,13 +119,7 @@ def _cmd_series(args) -> int:
 
 def _cmd_disk(args) -> int:
     p = build_poly(CoeffVector.parse(args.coeffs))
-    report = disk.disk_scan(
-        p,
-        radial_steps=args.radial,
-        angular_steps=args.angular,
-        pair_samples=args.pairs,
-        rng_seed=args.seed,
-    )
+    report = disk.disk_scan(p, pair_samples=args.pairs, rng_seed=args.seed)
     certified = (
         report.sup_p_prime < 1.0
         and report.sup_p_over_z < 1.0
@@ -272,8 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_coeffs(sp)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--radial", type=int, default=64)
-    sp.add_argument("--angular", type=int, default=128)
     sp.add_argument("--pairs", type=int, default=10_000)
     sp.add_argument("--out", default=None)
     sp.set_defaults(handler=_cmd_disk)

@@ -254,6 +254,8 @@ def field_to_bytes(f: Field) -> bytes:
 
 
 def field_from_bytes(data: bytes) -> Field:
+    if len(data) < _HEADER.size:
+        raise ValueError(f"CVLF payload of {len(data)} bytes is shorter than its header")
     magic, version, dim, m, extent = _HEADER.unpack_from(data, 0)
     if magic != CVLF_MAGIC:
         raise ValueError("not a CVLF payload")
@@ -261,6 +263,10 @@ def field_from_bytes(data: bytes) -> Field:
         raise ValueError(f"unsupported CVLF version {version}")
     grid = Grid(dim=dim, extent=extent, points_per_axis=m)
     count = m**dim
+    if len(data) != _HEADER.size + 8 * count:
+        raise ValueError(
+            f"CVLF payload has {len(data) - _HEADER.size} value bytes, header says {8 * count}"
+        )
     vals = np.frombuffer(data, dtype="<f8", count=count, offset=_HEADER.size)
     return Field(grid, vals.reshape(grid.shape).astype(np.float64))
 

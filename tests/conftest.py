@@ -2,16 +2,9 @@ import os
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 import convlab
-from convlab import CoeffVector, Field, Grid, accel
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _jit_warmup():
-    # keep JIT compile time out of every timed section
-    accel.warmup()
+from convlab import CoeffVector, Field, Grid
 
 
 def child_env(**overrides: str) -> dict[str, str]:

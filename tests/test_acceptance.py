@@ -121,7 +121,7 @@ def test_criterion_05_disk_certificates():
         rng = np.random.default_rng(1005)
         for _ in range(20):
             p = build_poly(random_coeffs(rng, max_degree=6, max_a=3))
-            rep = disk_scan(p, radial_steps=64, angular_steps=128, pair_samples=10_000)
+            rep = disk_scan(p, pair_samples=10_000)
             assert rep.sup_p_prime < 1.0
             assert rep.sup_p_over_z < 1.0
             assert rep.injectivity_violations == 0

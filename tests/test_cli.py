@@ -73,6 +73,20 @@ class TestDisk:
         assert out["certified"] is True
         assert out["injectivity_violations"] == 0
 
+    def test_stdout_identical_across_processes(self, tmp_path):
+        # two fresh interpreters (different hash seeds) print the same bytes
+        args = [sys.executable, "-m", "convlab.cli", "disk", "--coeffs", "1,1", "--pairs", "2000"]
+        runs = [
+            subprocess.run(args, cwd=tmp_path, capture_output=True, env=child_env(PYTHONHASHSEED=s))
+            for s in ("1", "2")
+        ]
+        assert [r.returncode for r in runs] == [0, 0]
+        assert runs[0].stdout == runs[1].stdout
+        assert sorted(json.loads(runs[0].stdout)) == [
+            "certified", "injectivity_violations", "min_modulus_root",
+            "qprime_roots", "sup_p_over_z", "sup_p_prime", "t_q",
+        ]
+
 
 class TestConstructVerify:
     def test_chain(self, tmp_path, capsys):
@@ -194,6 +208,19 @@ class TestVerify:
         assert main(["verify", "--coeffs", "1", "--field", "bad.cvlf", "--out", "v.json"]) == 3
         out = read_json(tmp_path / "v.json")
         assert out["slack_ok"] is False
+
+    @pytest.mark.parametrize(
+        "cut",
+        [lambda d: d[:4], lambda d: d[:20], lambda d: d[:-8], lambda d: d + b"junk"],
+        ids=["short-header", "truncated-header", "truncated-payload", "trailing-junk"],
+    )
+    def test_malformed_cvlf_exit(self, tmp_path, cut):
+        g = Grid(dim=1, extent=8.0, points_per_axis=256)
+        path = tmp_path / "f.cvlf"
+        write_cvlf(uniform_field(g, mass=0.2), str(path))
+        assert main(["verify", "--coeffs", "1", "--field", "f.cvlf"]) == 0
+        path.write_bytes(cut(path.read_bytes()))
+        assert main(["verify", "--coeffs", "1", "--field", "f.cvlf"]) == 2
 
 
 class TestDeterminism:

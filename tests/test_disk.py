@@ -1,16 +1,38 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from convlab import CoeffVector, build_poly, disk_scan, qprime_roots
-from convlab.disk import (
-    SCAN_RADIUS_FACTOR,
-    _horner,
-    _pprime_desc,
-    _qprime_desc,
-    sup_abs_on_circle,
-)
+from convlab.disk import SCAN_RADIUS_FACTOR, _horner, _qprime_desc
+from convlab.qpoly import eval_p_exact, eval_p_prime_exact
 
 from conftest import random_coeffs
+
+
+def _pprime_desc(coeffs: CoeffVector) -> np.ndarray:
+    n2 = coeffs.n2
+    return np.array([float(n * coeffs[n]) for n in range(n2, 1, -1)] + [0.0])
+
+
+def _p_over_z_desc(coeffs: CoeffVector) -> np.ndarray:
+    """P(z)/z is itself a polynomial (P vanishes at 0 to second order)."""
+    n2 = coeffs.n2
+    return np.array([float(coeffs[n]) for n in range(n2, 1, -1)] + [0.0])
+
+
+def sup_abs_on_circle(desc: np.ndarray, radius: float, angular_steps: int) -> float:
+    th = 2.0 * np.pi * np.arange(angular_steps) / angular_steps
+    z = radius * np.exp(1j * th)
+    return float(np.abs(np.polyval(desc, z)).max())
+
+
+def polar_scan_sup(desc: np.ndarray, radius: float, radial_steps=64, angular_steps=128) -> float:
+    """The sampled estimate disk_scan once made: max |poly| on a polar grid."""
+    radii = np.linspace(0.0, radius, radial_steps)
+    th = 2.0 * np.pi * np.arange(angular_steps) / angular_steps
+    z = (radii[:, None] * np.exp(1j * th)[None, :]).ravel()
+    return float(np.abs(np.polyval(desc, z)).max())
 
 
 class TestRoots:
@@ -77,7 +99,7 @@ class TestScan:
 
     def test_mixed_sup_on_axis(self):
         # both sups are attained on the positive real axis (coefficients
-        # are non-negative), where the scan grid has exact nodes
+        # are non-negative)
         p = build_poly(CoeffVector([1, 1]))
         rep = disk_scan(p)
         r = SCAN_RADIUS_FACTOR * p.t_q
@@ -97,12 +119,24 @@ class TestScan:
         p = build_poly(CoeffVector([2, 0, 1]))
         assert disk_scan(p, rng_seed=7) == disk_scan(p, rng_seed=7)
 
-    def test_step_validation(self):
-        p = build_poly(CoeffVector([1]))
-        with pytest.raises(ValueError):
-            disk_scan(p, radial_steps=4)
-        with pytest.raises(ValueError):
-            disk_scan(p, angular_steps=4)
+    def test_closed_form_matches_polar_scan(self):
+        # the closed-form sups agree with the 64x128 polar-grid maximum, and
+        # the exact values behind them are below 1 and below R
+        rng = np.random.default_rng(64)
+        for _ in range(200):
+            c = random_coeffs(rng, max_degree=6, max_a=3)
+            p = build_poly(c)
+            rep = disk_scan(p, pair_samples=10)
+            radius = SCAN_RADIUS_FACTOR * p.t_q
+            scan_pp = polar_scan_sup(_pprime_desc(c), radius)
+            scan_poz = polar_scan_sup(_p_over_z_desc(c), radius)
+            assert abs(rep.sup_p_prime - scan_pp) <= 1e-15 * scan_pp
+            assert abs(rep.sup_p_over_z - scan_poz) <= 1e-15 * scan_poz
+            r = Fraction(radius)
+            assert eval_p_prime_exact(c, r) < 1
+            assert eval_p_exact(c, r) < r
+            assert rep.sup_p_prime == float(eval_p_prime_exact(c, r))
+            assert rep.sup_p_over_z == float(eval_p_exact(c, r) / r)
 
     def test_report_json(self):
         rep = disk_scan(build_poly(CoeffVector([0, 1])))

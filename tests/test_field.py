@@ -276,6 +276,10 @@ class TestIO:
         bad_version = data[:4] + (99).to_bytes(4, "little") + data[8:]
         with pytest.raises(ValueError):
             field_from_bytes(bad_version)
+        assert len(data) == 24 + 8 * 256
+        for bad in (data[:4], data[:23], data[:24], data[:-1], data + b"junk"):
+            with pytest.raises(ValueError):
+                field_from_bytes(bad)
 
     def test_csv(self, tmp_path):
         path = str(tmp_path / "f.csv")
@@ -297,3 +301,27 @@ class TestIO:
         a = convolve(f, g).values
         b = convolve(Field(G1, f.values.copy()), Field(G1, g.values.copy())).values
         assert np.array_equal(a, b)
+
+
+def direct_circular_conv1d(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """O(M^2) circular convolution, out[n] = sum_k f[k] g[(n-k) mod M]."""
+    m = f.shape[0]
+    idx = (np.arange(m)[:, None] - np.arange(m)[None, :]) % m
+    return (f[None, :] * g[idx]).sum(axis=1)
+
+
+class TestDirectVsSpectral:
+    def test_convolve_matches_direct_sum(self):
+        # the FFT route must agree with the O(M^2) definition: the grid
+        # origin sits at node M/2, so the raw circular output is rolled
+        g = Grid(dim=1, extent=8.0, points_per_axis=256)
+        rng = np.random.default_rng(114)
+        f1 = random_smooth_field(g, rng)
+        f2 = random_smooth_field(g, rng)
+        direct = g.h * np.roll(
+            direct_circular_conv1d(f1.values, f2.values),
+            -(g.points_per_axis // 2),
+        )
+        spectral = convolve(f1, f2).values
+        scale = np.abs(direct).max() + 1.0
+        assert np.abs(direct - spectral).max() <= 1e-12 * scale
