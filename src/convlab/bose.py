@@ -18,15 +18,12 @@ from dataclasses import dataclass
 from math import inf
 
 import numpy as np
-from scipy import fft as _sfft
 
-from .config import fft_workers
-from .errors import CeilingViolated, NotConverged
-from .constructor import SolveReport
+from .constructor import DEFAULT_MAX_ITER, DEFAULT_TOL, SolveReport, fixed_point
+from .errors import CeilingViolated
 from .field import Field, Grid, conv_power, convolve, integral, l1_norm, min_value
+from .field import _fftn, _ifftn, _k_squared
 
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 10_000
 CEILING_SLACK = 1e-10
 CERT_SLACK = 1e-8
 
@@ -83,19 +80,8 @@ def resolvent_apply(f: Field, xi: float, m: int = 1) -> Field:
         raise ValueError("xi must be positive")
     if m < 1:
         raise ValueError("m must be >= 1")
-    g = f.grid
-    norm = np.zeros(g.shape)
-    for k in g.frequencies():
-        norm = norm + k**2
-    mult = (xi + 4.0 * np.pi**2 * norm) ** (-m)
-    w = fft_workers()
-    out = _sfft.ifftn(_sfft.fftn(f.values, workers=w) * mult, workers=w).real
-    return Field(g, out)
-
-
-def _pointwise(vf: Field, uf: Field) -> Field:
-    """V * (1 - u), node by node."""
-    return Field(vf.grid, vf.values * (1.0 - uf.values))
+    mult = (xi + 4.0 * np.pi**2 * _k_squared(f.grid)) ** (-m)
+    return Field(f.grid, _ifftn(_fftn(f.values) * mult).real)
 
 
 def solve(
@@ -118,40 +104,19 @@ def solve(
             "outside the guarded smallness regime"
         )
     mu_root = problem.mu ** (1.0 / problem.m)
-    u = Field(problem.grid, np.zeros(problem.grid.shape))
-    deltas: list[float] = []
-    masses: list[float] = [0.0]
-    monotone_ok = True
-    converged = False
-    iterations = 0
-    for _ in range(max_iter):
-        nxt = resolvent_apply(_pointwise(problem.V, u), problem.xi, problem.m)
+
+    def step(u: Field) -> Field:
+        v_gap = Field(problem.grid, problem.V.values * (1.0 - u.values))  # V(1-u), node by node
+        nxt = resolvent_apply(v_gap, problem.xi, problem.m)
         if problem.mu > 0:
             f_k = mu_root * resolvent_apply(u, problem.xi, 1)
             nxt = nxt + convolve(conv_power(f_k, problem.m), u)
-        iterations += 1
-        if min_value(nxt - u) < -1e-12:
-            monotone_ok = False
-        delta = l1_norm(nxt - u)
-        deltas.append(delta)
-        masses.append(integral(nxt))
-        u = nxt
-        if delta < tol:
-            converged = True
-            break
+        return nxt
 
-    residual = _integral_form_residual(problem, u, mu_root)
-    mass_u = integral(u)
-    report = SolveReport(
-        iterations=iterations,
-        l1_deltas=tuple(deltas),
-        masses=tuple(masses),
-        final_mass=mass_u,
-        residual=residual,
-        monotone_ok=monotone_ok,
-        converged=converged,
-        tol=tol,
+    u, report = fixed_point(
+        step, Field(problem.grid, np.zeros(problem.grid.shape)), tol, max_iter
     )
+    mass_u = report.final_mass
     solution = BoseSolution(
         problem=problem,
         u=u,
@@ -159,26 +124,14 @@ def solve(
         hypothesis_value=mu_root * mass_u / problem.xi,
         report=report,
     )
-    if not converged:
-        raise NotConverged(
-            f"increment {deltas[-1]:.3e} above tol {tol} after {iterations} iterations",
-            solution=solution,
-            report=report,
-        )
+    if not report.converged:
+        raise report.not_converged(solution=solution)
     if u.values.max() > 1.0 + CEILING_SLACK:
         raise CeilingViolated(
             f"max(u) = {u.values.max():.6g} exceeds 1; certificate hypotheses fail",
             solution=solution,
         )
     return solution
-
-
-def _integral_form_residual(problem: BoseProblem, u: Field, mu_root: float) -> float:
-    rhs = resolvent_apply(_pointwise(problem.V, u), problem.xi, problem.m)
-    if problem.mu > 0:
-        f = mu_root * resolvent_apply(u, problem.xi, 1)
-        rhs = rhs + convolve(conv_power(f, problem.m), u)
-    return l1_norm(u - rhs)
 
 
 def apriori_certificate(sol: BoseSolution) -> CertificateReport:

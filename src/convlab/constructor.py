@@ -12,6 +12,7 @@ and the solver reports failure honestly instead of loosening tolerances.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -47,6 +48,60 @@ class SolveReport:
             "tol": self.tol,
         }
 
+    def not_converged(self, **attached) -> NotConverged:
+        """The error for this unconverged run, with the caller's partial
+        result (field= or solution=) attached."""
+        return NotConverged(
+            f"increment {self.l1_deltas[-1]:.3e} still above tol {self.tol} "
+            f"after {self.iterations} iterations", report=self, **attached
+        )
+
+
+def fixed_point(
+    step: Callable[[Field], Field], start: Field, tol: float, max_iter: int
+) -> tuple[Field, SolveReport]:
+    """Iterate current <- step(current) from start until the L1 increment
+    drops below tol or max_iter steps have run; return the last iterate
+    and its report, converged or not.
+
+    The report records every increment and every mass (the first being
+    integral(start)), whether any step moved a node down by more than
+    the monotone slack, and the residual L1 norm of last - step(last).
+    """
+    if not max_iter >= 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    deltas: list[float] = []
+    masses: list[float] = [integral(start)]
+    monotone_ok = True
+    # The start and each increment are released before the next step, so a
+    # solve holds no more arrays at once than a loop written inline.
+    current = start
+    del start
+    for _ in range(max_iter):
+        nxt = step(current)
+        increment = nxt - current
+        if min_value(increment) < -DEFAULT_TOLS.monotone_slack:
+            monotone_ok = False
+        deltas.append(l1_norm(increment))
+        del increment
+        masses.append(integral(nxt))
+        current = nxt
+        if deltas[-1] < tol:
+            break
+    report = SolveReport(
+        iterations=len(deltas),
+        l1_deltas=tuple(deltas),
+        masses=tuple(masses),
+        final_mass=masses[-1],
+        residual=l1_norm(current - step(current)),
+        monotone_ok=monotone_ok,
+        converged=deltas[-1] < tol,
+        tol=tol,
+    )
+    return current, report
+
 
 def _clamped_seed(psi: Field) -> Field:
     floor = min_value(psi)
@@ -79,43 +134,9 @@ def construct(
         raise MassTooLarge(
             f"seed mass {seed_mass:.12g} exceeds Q(t_q) = {p.q_max:.12g}"
         )
-
-    current = psi
-    deltas: list[float] = []
-    masses: list[float] = [integral(current)]
-    monotone_ok = True
-    converged = False
-    iterations = 0
-    for _ in range(max_iter):
-        nxt = psi + apply_p(current, coeffs)
-        iterations += 1
-        if min_value(nxt - current) < -DEFAULT_TOLS.monotone_slack:
-            monotone_ok = False
-        delta = l1_norm(nxt - current)
-        deltas.append(delta)
-        masses.append(integral(nxt))
-        current = nxt
-        if delta < tol:
-            converged = True
-            break
-
-    residual = l1_norm(psi - (current - apply_p(current, coeffs)))
-    report = SolveReport(
-        iterations=iterations,
-        l1_deltas=tuple(deltas),
-        masses=tuple(masses),
-        final_mass=integral(current),
-        residual=residual,
-        monotone_ok=monotone_ok,
-        converged=converged,
-        tol=tol,
-    )
-    if not converged:
-        raise NotConverged(
-            f"increment {deltas[-1]:.3e} still above tol {tol} after {iterations} iterations",
-            field=current,
-            report=report,
-        )
+    current, report = fixed_point(lambda f: psi + apply_p(f, coeffs), psi, tol, max_iter)
+    if not report.converged:
+        raise report.not_converged(field=current)
     return current, report
 
 

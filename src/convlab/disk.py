@@ -87,8 +87,9 @@ def qprime_roots(coeffs: CoeffVector) -> list[complex]:
         polished.append(z)
     scale = float(sum(n * a for n, a in coeffs.terms()))
     worst = max(abs(_horner(qp, z)) for z in polished)
-    if worst > 1e-10 * scale:
-        raise ConvergenceFailure(f"root residual {worst:.3e} above 1e-10 * {scale}")
+    tol = DEFAULT_TOLS.root_residual
+    if worst > tol * scale:
+        raise ConvergenceFailure(f"root residual {worst:.3e} above {tol} * {scale}")
     return sorted(polished, key=lambda z: (abs(z), z.real, z.imag))
 
 

@@ -102,19 +102,26 @@ class Field:
 
     def __add__(self, other: "Field") -> "Field":
         _require_same_grid(self, other)
-        return Field(self.grid, self.values + other.values)
+        return _fresh(self.grid, self.values + other.values)
 
     def __sub__(self, other: "Field") -> "Field":
         _require_same_grid(self, other)
-        return Field(self.grid, self.values - other.values)
+        return _fresh(self.grid, self.values - other.values)
 
     def __mul__(self, scalar: float) -> "Field":
-        return Field(self.grid, self.values * float(scalar))
+        return _fresh(self.grid, self.values * float(scalar))
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "Field":
-        return Field(self.grid, -self.values)
+        return _fresh(self.grid, -self.values)
+
+
+def _fresh(grid: Grid, values: np.ndarray) -> Field:
+    """Field over an array just computed here, which nothing else holds:
+    frozen in place, where Field() would copy a writeable array."""
+    values.flags.writeable = False
+    return Field(grid, values)
 
 
 def _require_same_grid(f: Field, g: Field) -> None:
@@ -131,6 +138,17 @@ def _half_shift_phase(dim: int, m: int) -> np.ndarray:
     for _ in range(dim - 1):
         ph = np.multiply.outer(ph, one)
     return ph
+
+
+@lru_cache(maxsize=32)
+def _k_squared(grid: Grid) -> np.ndarray:
+    """||k||^2 over the grid's discrete frequencies, summed axis by axis;
+    read-only, since every caller shares it."""
+    norm = np.zeros(grid.shape)
+    for k in grid.frequencies():
+        norm = norm + k**2
+    norm.flags.writeable = False
+    return norm
 
 
 def _fftn(a: np.ndarray) -> np.ndarray:
@@ -150,7 +168,7 @@ def _mass_symbol(f: Field) -> np.ndarray:
 
 def _field_from_symbol(grid: Grid, symbol: np.ndarray) -> Field:
     ph = _half_shift_phase(grid.dim, grid.points_per_axis)
-    return Field(grid, _ifftn(symbol * ph).real / grid.cell_volume)
+    return _fresh(grid, _ifftn(symbol * ph).real / grid.cell_volume)
 
 
 def convolve(f: Field, g: Field) -> Field:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+from .config import DEFAULT_TOLS
 from .errors import ConvergenceFailure, InvalidCoefficients
 
 _BISECT_STEPS = 60
@@ -64,9 +65,9 @@ class CoeffVector:
 
     @classmethod
     def parse(cls, text: str) -> "CoeffVector":
-        """Parse '1,0,2' as a_2=1, a_3=0, a_4=2."""
+        """Parse '1,0,2' as a_2=1, a_3=0, a_4=2; an empty entry is an error."""
         try:
-            parts = [int(p.strip()) for p in text.split(",") if p.strip() != ""]
+            parts = [int(p) for p in text.split(",")]
         except ValueError as exc:
             raise InvalidCoefficients(f"cannot parse coefficients {text!r}") from exc
         return cls(parts)
@@ -133,7 +134,7 @@ def build_poly(coeffs: CoeffVector) -> PolyQ:
         coeffs = CoeffVector(coeffs)
     t = _critical_point(coeffs)
     scale = max(1.0, float(sum(n * a for n, a in coeffs.terms())))
-    if abs(eval_q_prime(coeffs, t)) > 1e-14 * scale:
+    if abs(eval_q_prime(coeffs, t)) > DEFAULT_TOLS.critical_point * scale:
         raise ConvergenceFailure(
             f"critical point residual {eval_q_prime(coeffs, t):.3e} above tolerance"
         )

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DecayGuard
-from .field import Field, Grid, _field_from_symbol, convolve, integral, min_value
+from .field import Field, Grid, _field_from_symbol, _k_squared, convolve, integral, min_value
 
 MIN_DECAY_PRODUCT = 4.0
 
@@ -55,10 +55,7 @@ def poisson_field(params: PoissonParams) -> Field:
             np.cosh(w * params.t) - np.cos(w * x)
         )
         return Field(grid, vals)
-    norm = np.zeros(grid.shape)
-    for xi in grid.frequencies():
-        norm = norm + xi**2
-    symbol = params.a * np.exp(-2.0 * np.pi * params.t * np.sqrt(norm))
+    symbol = params.a * np.exp(-2.0 * np.pi * params.t * np.sqrt(_k_squared(grid)))
     return _field_from_symbol(grid, symbol)
 
 

@@ -5,6 +5,7 @@ import numpy as np
 
 import convlab
 from convlab import CoeffVector, Field, Grid
+from convlab.field import _k_squared
 
 
 def child_env(**overrides: str) -> dict[str, str]:
@@ -31,9 +32,7 @@ def random_smooth_field(
     """Band-limited noise: white noise pushed through a spectral Gaussian
     filter, optionally shifted to be non-negative."""
     white = rng.standard_normal(grid.shape)
-    norm = np.zeros(grid.shape)
-    for xi in grid.frequencies():
-        norm = norm + xi**2
+    norm = _k_squared(grid)
     cutoff = (0.125 * grid.points_per_axis / grid.extent) ** 2
     smooth = np.fft.ifftn(np.fft.fftn(white) * np.exp(-norm / cutoff)).real
     if nonneg:

@@ -13,6 +13,8 @@ from convlab import (
     NotConverged,
     apriori_certificate,
     bose_solve,
+    conv_power,
+    convolve,
     gaussian_field,
     integral,
     l1_norm,
@@ -169,8 +171,26 @@ class TestSolve:
         with pytest.raises(NotConverged) as exc:
             bose_solve(problem(v_mass=0.45), max_iter=2)
         assert exc.value.solution is not None
+        assert exc.value.solution.report is exc.value.report
+        assert exc.value.field is None
         assert exc.value.report.iterations == 2
         assert not exc.value.report.converged
+        assert "still above tol 1e-10 after 2 iterations" in str(exc.value)
+
+    @pytest.mark.parametrize("mu,m", [(0.0, 1), (0.01, 1), (0.05, 2)])
+    def test_residual_is_integral_form(self, mu, m):
+        # the residual of u = R^m[V(1-u)] + (*^m f) * u, f = mu^(1/m) R[u],
+        # assembled here independently of the solver's step
+        sol = bose_solve(problem(v_mass=0.3, xi=1.2, mu=mu, m=m))
+        p, u = sol.problem, sol.u
+        rhs = resolvent_apply(Field(G, p.V.values * (1.0 - u.values)), p.xi, p.m)
+        if mu > 0:
+            f = mu ** (1.0 / m) * resolvent_apply(u, p.xi, 1)
+            rhs = rhs + convolve(conv_power(f, m), u)
+        assert sol.report.residual == l1_norm(u - rhs)
+        assert sol.report.residual <= 10.0 * sol.report.tol
+        assert sol.report.final_mass == integral(u) == sol.report.masses[-1]
+        assert sol.report.masses[0] == 0.0
 
     def test_deterministic(self):
         a = bose_solve(problem(v_mass=0.3, mu=0.01)).u.values

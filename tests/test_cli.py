@@ -46,6 +46,11 @@ class TestTq:
     def test_rejects_zero_vector(self):
         assert main(["tq", "--coeffs", "0,0"]) == 2
 
+    @pytest.mark.parametrize("coeffs", ["0,,1", "1,", ",1"])
+    def test_rejects_empty_entry(self, tmp_path, coeffs):
+        assert main(["tq", "--coeffs", coeffs]) == 2
+        assert read_json(tmp_path / "convlab-manifest.json")["exit_code"] == 2
+
     def test_argparse_errors(self):
         assert main([]) == 2
         assert main(["tq", "--coeffs", "1", "--no-such-flag"]) == 2
@@ -199,6 +204,24 @@ class TestBose:
 
     def test_smallness_guard_exit(self):
         assert main(["bose", "--V", "gaussian:sigma=0.6,mass=0.8", *GRID_ARGS]) == 2
+
+
+class TestIterationLimits:
+    SUBCOMMANDS = {
+        "construct": ["construct", "--coeffs", "1", "--psi", "gaussian:sigma=0.5,mass=0.2"],
+        "bose": ["bose", "--V", "gaussian:sigma=0.6,mass=0.3", "--mu", "0.01"],
+    }
+
+    @pytest.mark.parametrize("sub", sorted(SUBCOMMANDS))
+    @pytest.mark.parametrize(
+        "limit", [["--max-iter", "0"], ["--max-iter", "-3"], ["--tol", "0"], ["--tol", "nan"]]
+    )
+    def test_rejected_as_bad_input(self, tmp_path, capsys, sub, limit):
+        code = main([*self.SUBCOMMANDS[sub], *GRID_ARGS, *limit, "--report", "r.json"])
+        assert code == 2
+        assert read_json(tmp_path / "convlab-manifest.json")["exit_code"] == 2
+        assert not (tmp_path / "r.json").exists()
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestVerify:

@@ -9,6 +9,7 @@ from convlab import (
     Grid,
     MassTooLarge,
     NotConverged,
+    apply_p,
     build_poly,
     conv_power,
     construct,
@@ -22,6 +23,7 @@ from convlab import (
     uniqueness_roundtrip,
     verify_inequality,
 )
+from convlab.constructor import fixed_point
 from convlab.qpoly import eval_p
 
 from conftest import random_coeffs
@@ -86,10 +88,16 @@ class TestConstruct:
         for _ in range(5):
             c = random_coeffs(rng, max_degree=4)
             p = build_poly(c)
-            f, rep = construct(seed(0.8 * p.q_max), c, p)
+            psi = seed(0.8 * p.q_max)
+            f, rep = construct(psi, c, p)
             assert rep.converged
             assert rep.residual <= 10.0 * rep.tol
             assert l1_norm(f) <= p.t_q * (1.0 + 1e-9)
+            # the same residual in the other order of subtraction: equal
+            # up to one rounding per node in each of the two expressions
+            other = l1_norm(psi - (f - apply_p(f, c)))
+            bound = 2.0**-52 * (l1_norm(psi) + 2.0 * l1_norm(f))
+            assert abs(rep.residual - other) <= bound
 
     def test_mass_shadowing(self):
         # field masses track the scalar recursion to roundoff
@@ -120,6 +128,65 @@ class TestConstruct:
                     combo = combo + float(mv) * conv_power(psi, l)
             scale = np.abs(combo.values).max() + 1.0
             assert linf_diff(iterate, combo) <= 1e-9 * scale
+
+
+class TestFixedPoint:
+    # values and cell volume are dyadic, so every iterate below is exact
+    GD = Grid(dim=1, extent=16.0, points_per_axis=16)
+
+    def ones(self):
+        return Field(self.GD, np.ones(self.GD.shape))
+
+    def test_affine_contraction(self):
+        # u_j = (2 - 2^-j) psi from u_0 = psi: the increments are
+        # 16 * 2^-j, and the first one below 2^-10 is at j = 15
+        psi = self.ones()
+        u, rep = fixed_point(lambda f: psi + 0.5 * f, psi, 2.0**-10, 100)
+        assert rep.converged and rep.monotone_ok
+        assert rep.iterations == 15
+        assert rep.l1_deltas == tuple(16.0 * 2.0**-j for j in range(1, 16))
+        assert rep.masses == tuple(16.0 * (2.0 - 2.0**-j) for j in range(16))
+        assert rep.final_mass == rep.masses[-1] == integral(u)
+        assert rep.residual == 16.0 * 2.0**-16
+        assert rep.tol == 2.0**-10
+
+    def test_cap_reached(self):
+        psi = self.ones()
+        u, rep = fixed_point(lambda f: psi + 0.5 * f, psi, 2.0**-10, 3)
+        assert not rep.converged
+        assert rep.iterations == 3 and len(rep.masses) == 4
+        assert integral(u) == rep.masses[-1]
+        err = rep.not_converged(field=u)
+        assert isinstance(err, NotConverged)
+        assert err.field is u and err.report is rep and err.solution is None
+        assert str(err) == "increment 2.000e+00 still above tol 0.0009765625 after 3 iterations"
+
+    def test_backsliding_is_flagged(self):
+        _, rep = fixed_point(lambda f: 0.5 * f, self.ones(), 2.0**-10, 100)
+        assert rep.converged
+        assert not rep.monotone_ok
+        assert rep.masses[-1] < rep.masses[0]
+
+    def test_slack_tolerates_roundoff_backsliding(self):
+        drop = Field(self.GD, np.full(self.GD.shape, 1e-13))
+        _, rep = fixed_point(lambda f: f - drop, self.ones(), 1.0, 5)
+        assert rep.converged and rep.monotone_ok
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_max_iter_rejected(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter"):
+            fixed_point(lambda f: f, self.ones(), 1e-10, max_iter)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
+    def test_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            fixed_point(lambda f: f, self.ones(), tol, 10)
+
+    def test_construct_rejects_bad_limits(self):
+        with pytest.raises(ValueError):
+            construct(seed(0.1), C2, P2, max_iter=0)
+        with pytest.raises(ValueError):
+            construct(seed(0.1), C2, P2, tol=0.0)
 
 
 class TestVerify:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from convlab import (
     write_csv,
     write_cvlf,
 )
+from convlab.field import _k_squared
 
 from conftest import random_smooth_field
 
@@ -57,6 +59,16 @@ class TestGrid:
         assert xi.ravel()[0] == 0.0
         assert xi.ravel()[1] == pytest.approx(1.0 / G1.extent, rel=1e-15)
 
+    @pytest.mark.parametrize("grid", [G1, G2, Grid(dim=3, extent=6.0, points_per_axis=16)])
+    def test_k_squared(self, grid):
+        norm = np.zeros(grid.shape)
+        for k in grid.frequencies():
+            norm = norm + k**2
+        got = _k_squared(grid)
+        assert np.array_equal(got, norm)
+        assert not got.flags.writeable
+        assert _k_squared(Grid(grid.dim, grid.extent, grid.points_per_axis)) is got
+
 
 class TestField:
     def test_shape_and_finiteness(self):
@@ -74,6 +86,21 @@ class TestField:
             f.values[0] = 2.0
         src[0] = 5.0
         assert f.values[0] == 1.0
+
+    def test_results_are_not_copied(self):
+        # the sum of two fields allocates its values once
+        g = Grid(dim=1, extent=8.0, points_per_axis=2**16)
+        f = uniform_field(g, mass=1.0)
+        h = uniform_field(g, mass=2.0)
+        tracemalloc.start()
+        try:
+            total = f + h
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * f.values.nbytes
+        assert not total.values.flags.writeable
+        assert integral(total) == pytest.approx(3.0, rel=1e-14)
 
     def test_arithmetic(self):
         f = uniform_field(G1, mass=1.0)

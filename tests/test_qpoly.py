@@ -44,6 +44,12 @@ class TestCoeffVector:
         assert CoeffVector.from_json(c.to_json()) == c
         with pytest.raises(InvalidCoefficients):
             CoeffVector.parse("1,x")
+        assert CoeffVector.parse(" 1 , 0 ").coeffs == (1, 0)
+
+    @pytest.mark.parametrize("text", ["0,,1", "1,", ",1", "", " ", "1, ,2"])
+    def test_parse_rejects_empty_entries(self, text):
+        with pytest.raises(InvalidCoefficients):
+            CoeffVector.parse(text)
 
 
 class TestBuildPoly:
