@@ -2,14 +2,17 @@
 on the periodic grid, plus the a-priori non-negativity certificate.
 
 The m-th resolvent power is a diagonal spectral multiplier
-(xi + 4 pi^2 ||k||^2)^(-m); its kernel is non-negative with total mass
-xi^(-m), which is the zero-frequency value and therefore exact here.
-Picard iteration starts from u = 0 and assembles the coupling term as
-(*^m f_k) * u_k with f_k = mu^(1/m) R[u_k]; at the fixed point that is
-literally mu R^m[*^(m+1) u] by commutativity of convolution, and f is
-the object the non-negativity argument runs through: the certificate
-checks mu^(1/m) integral(u) / xi < 1, f >= *^(m+1) f, and u >= 0 on the
-converged solution.
+R_m = (xi + 4 pi^2 ||k||^2)^(-m); its kernel is non-negative with total
+mass xi^(-m), the zero-frequency value. Picard iteration starts from
+u = 0 and takes the equation itself as its step, written on mass
+symbols (where *^n becomes the n-th power):
+
+    ms(u_next) = R_m (ms(V(1-u)) + mu ms(u)^(m+1)).
+
+The non-negativity argument runs through f = mu^(1/m) R[u]: the
+certificate checks mu^(1/m) integral(u) / xi < 1, f >= *^(m+1) f, and
+u >= 0 on the converged solution, in field space, sharing no code path
+with the step.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ import numpy as np
 
 from .constructor import DEFAULT_MAX_ITER, DEFAULT_TOL, SolveReport, fixed_point
 from .errors import CeilingViolated
-from .field import Field, Grid, conv_power, convolve, integral, l1_norm, min_value
-from .field import _fftn, _ifftn, _k_squared
+from .field import Field, Grid, conv_power, integral, l1_norm, min_value
+from .field import _field_from_symbol, _fresh, _k_squared, _mass_symbol
 
 CEILING_SLACK = 1e-10
 CERT_SLACK = 1e-8
@@ -73,15 +76,19 @@ class CertificateReport:
         return self.__dict__.copy()
 
 
+def _resolvent_symbol(grid: Grid, xi: float, m: int) -> np.ndarray:
+    """R_m = (xi + 4 pi^2 ||k||^2)^(-m) over the grid's frequencies."""
+    return (xi + 4.0 * np.pi**2 * _k_squared(grid)) ** (-m)
+
+
 def resolvent_apply(f: Field, xi: float, m: int = 1) -> Field:
     """(xi - Laplacian)^(-m) f via the spectral multiplier; preserves
-    non-negativity to roundoff and divides the mass by xi^m exactly."""
+    non-negativity and divides the mass by xi^m, both to roundoff."""
     if not xi > 0:
         raise ValueError("xi must be positive")
     if m < 1:
         raise ValueError("m must be >= 1")
-    mult = (xi + 4.0 * np.pi**2 * _k_squared(f.grid)) ** (-m)
-    return Field(f.grid, _ifftn(_fftn(f.values) * mult).real)
+    return _field_from_symbol(f.grid, _mass_symbol(f) * _resolvent_symbol(f.grid, xi, m))
 
 
 def solve(
@@ -89,7 +96,8 @@ def solve(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> BoseSolution:
-    """Picard iteration u_{k+1} = R^m[V(1-u_k)] + (*^m f_k)*u_k from u_0 = 0.
+    """Picard iteration ms(u_{k+1}) = R_m (ms(V(1-u_k)) + mu ms(u_k)^(m+1))
+    from u_0 = 0, R_m formed once per solve.
 
     The smallness guard integral(V)/xi^m < 0.5 keeps the iteration inside
     the empirically contractive regime where the ceiling u <= 1 holds; the
@@ -103,25 +111,22 @@ def solve(
             f"integral(V)/xi^m = {mass_v / problem.xi ** problem.m:.3g} >= 0.5; "
             "outside the guarded smallness regime"
         )
-    mu_root = problem.mu ** (1.0 / problem.m)
+    grid, m, mu = problem.grid, problem.m, problem.mu
+    r_m = _resolvent_symbol(grid, problem.xi, m)
 
     def step(u: Field) -> Field:
-        v_gap = Field(problem.grid, problem.V.values * (1.0 - u.values))  # V(1-u), node by node
-        nxt = resolvent_apply(v_gap, problem.xi, problem.m)
-        if problem.mu > 0:
-            f_k = mu_root * resolvent_apply(u, problem.xi, 1)
-            nxt = nxt + convolve(conv_power(f_k, problem.m), u)
-        return nxt
+        symbol = _mass_symbol(_fresh(grid, problem.V.values * (1.0 - u.values)))
+        if mu > 0:
+            symbol += mu * _mass_symbol(u) ** (m + 1)
+        return _field_from_symbol(grid, r_m * symbol)
 
-    u, report = fixed_point(
-        step, Field(problem.grid, np.zeros(problem.grid.shape)), tol, max_iter
-    )
+    u, report = fixed_point(step, Field(grid, np.zeros(grid.shape)), tol, max_iter)
     mass_u = report.final_mass
     solution = BoseSolution(
         problem=problem,
         u=u,
         delta=(1.0 / mass_u) if mass_u != 0.0 else inf,
-        hypothesis_value=mu_root * mass_u / problem.xi,
+        hypothesis_value=mu ** (1.0 / m) * mass_u / problem.xi,
         report=report,
     )
     if not report.converged:

@@ -19,28 +19,9 @@ import time
 from . import __version__
 from . import bose as bose_mod
 from . import constructor, disk, field, series, witness
-from .errors import (
-    CeilingViolated,
-    ConvergenceFailure,
-    ConvlabError,
-    DecayGuard,
-    GridMismatch,
-    InvalidCoefficients,
-    InvalidOrder,
-    MassTooLarge,
-    NotConverged,
-)
+from .errors import CeilingViolated, ConvergenceFailure, ConvlabError, GridMismatch, NotConverged
 from .ioutil import atomic_write_text
 from .qpoly import CoeffVector, build_poly
-
-_VALIDATION_ERRORS = (
-    InvalidCoefficients,
-    GridMismatch,
-    InvalidOrder,
-    MassTooLarge,
-    DecayGuard,
-    ValueError,
-)
 
 
 def _emit(payload: dict, path: str | None) -> None:
@@ -332,13 +313,10 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         code = args.handler(args)
-    except _VALIDATION_ERRORS as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        code = 2
     except (NotConverged, CeilingViolated, ConvergenceFailure) as exc:
         sys.stderr.write(f"error: {exc}\n")
         code = 3
-    except ConvlabError as exc:
+    except (ConvlabError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         code = 2
     _write_manifest(args, start, code)

@@ -31,7 +31,7 @@ class SolveReport:
     l1_deltas: tuple[float, ...]
     masses: tuple[float, ...]
     final_mass: float
-    residual: float
+    residual: float | None
     monotone_ok: bool
     converged: bool
     tol: float
@@ -51,10 +51,11 @@ class SolveReport:
     def not_converged(self, **attached) -> NotConverged:
         """The error for this unconverged run, with the caller's partial
         result (field= or solution=) attached."""
-        return NotConverged(
-            f"increment {self.l1_deltas[-1]:.3e} still above tol {self.tol} "
-            f"after {self.iterations} iterations", report=self, **attached
-        )
+        if self.residual is None:
+            why = "the step overflowed"
+        else:
+            why = f"increment {self.l1_deltas[-1]:.3e} still above tol {self.tol}"
+        return NotConverged(f"{why} after {self.iterations} iterations", report=self, **attached)
 
 
 def fixed_point(
@@ -67,6 +68,8 @@ def fixed_point(
     The report records every increment and every mass (the first being
     integral(start)), whether any step moved a node down by more than
     the monotone slack, and the residual L1 norm of last - step(last).
+    A step that overflows ends the run unconverged, with residual None
+    and last the final finite iterate.
     """
     if not max_iter >= 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
@@ -75,29 +78,36 @@ def fixed_point(
     deltas: list[float] = []
     masses: list[float] = [integral(start)]
     monotone_ok = True
+    residual = None
     # The start and each increment are released before the next step, so a
     # solve holds no more arrays at once than a loop written inline.
     current = start
     del start
-    for _ in range(max_iter):
-        nxt = step(current)
-        increment = nxt - current
-        if min_value(increment) < -DEFAULT_TOLS.monotone_slack:
-            monotone_ok = False
-        deltas.append(l1_norm(increment))
-        del increment
-        masses.append(integral(nxt))
-        current = nxt
-        if deltas[-1] < tol:
-            break
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for _ in range(max_iter):
+                nxt = step(current)
+                increment = nxt - current
+                if min_value(increment) < -DEFAULT_TOLS.monotone_slack:
+                    monotone_ok = False
+                delta, mass = l1_norm(increment), integral(nxt)
+                del increment
+                deltas.append(delta)
+                masses.append(mass)
+                current = nxt
+                if delta < tol:
+                    break
+            residual = l1_norm(current - step(current))
+    except (FloatingPointError, OverflowError):
+        pass  # a diverging step: current is the last finite iterate
     report = SolveReport(
         iterations=len(deltas),
         l1_deltas=tuple(deltas),
         masses=tuple(masses),
         final_mass=masses[-1],
-        residual=l1_norm(current - step(current)),
+        residual=residual,
         monotone_ok=monotone_ok,
-        converged=deltas[-1] < tol,
+        converged=residual is not None and deltas[-1] < tol,
         tol=tol,
     )
     return current, report

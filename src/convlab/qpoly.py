@@ -65,12 +65,17 @@ class CoeffVector:
 
     @classmethod
     def parse(cls, text: str) -> "CoeffVector":
-        """Parse '1,0,2' as a_2=1, a_3=0, a_4=2; an empty entry is an error."""
+        """Parse '1,0,2' as a_2=1, a_3=0, a_4=2. Each entry, spaces
+        stripped, must be ASCII digits only: no sign, underscore or empty
+        entry."""
+        parts = [p.strip() for p in text.split(",")]
         try:
-            parts = [int(p) for p in text.split(",")]
+            if not all(p.isascii() and p.isdigit() for p in parts):
+                raise ValueError("not digits")
+            values = [int(p) for p in parts]  # may exceed int()'s digit limit
         except ValueError as exc:
             raise InvalidCoefficients(f"cannot parse coefficients {text!r}") from exc
-        return cls(parts)
+        return cls(values)
 
     def to_json(self) -> dict:
         return {"a": list(self.coeffs)}

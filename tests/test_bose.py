@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.linalg import dft
 
 from convlab import (
@@ -22,10 +23,13 @@ from convlab import (
     resolvent_apply,
     uniform_field,
 )
+from convlab.constructor import fixed_point
+from convlab.field import _k_squared
 
 from conftest import random_smooth_field
 
 G = Grid(dim=1, extent=8.0, points_per_axis=256)
+G2 = Grid(dim=2, extent=8.0, points_per_axis=64)
 
 
 def problem(v_mass=0.3, xi=1.0, mu=0.0, m=1, sigma=0.6, grid=G):
@@ -43,6 +47,29 @@ def dense_solution(prob):
     symbol = (prob.xi + 4.0 * np.pi**2 * k.ravel() ** 2) ** prob.m
     a = winv @ np.diag(symbol) @ w + np.diag(prob.V.values)
     return np.linalg.solve(a, prob.V.values.astype(complex)).real
+
+
+def old_resolvent(f, xi, m):
+    # the multiplier applied through raw transforms, as the solver once did
+    mult = (xi + 4.0 * np.pi**2 * _k_squared(f.grid)) ** (-m)
+    return Field(f.grid, scipy.fft.ifftn(scipy.fft.fftn(f.values) * mult).real)
+
+
+def old_step(prob):
+    # u -> R^m[V(1-u)] + (*^m f) * u with f = mu^(1/m) R[u]: the equation
+    # assembled in field space, sharing no code with the solver's step
+    def step(u):
+        nxt = old_resolvent(Field(prob.grid, prob.V.values * (1.0 - u.values)), prob.xi, prob.m)
+        if prob.mu > 0:
+            f = prob.mu ** (1.0 / prob.m) * old_resolvent(u, prob.xi, 1)
+            nxt = nxt + convolve(conv_power(f, prob.m), u)
+        return nxt
+
+    return step
+
+
+def old_solve(prob, tol=1e-10, max_iter=10_000):
+    return fixed_point(old_step(prob), Field(prob.grid, np.zeros(prob.grid.shape)), tol, max_iter)
 
 
 class TestProblem:
@@ -180,17 +207,53 @@ class TestSolve:
     @pytest.mark.parametrize("mu,m", [(0.0, 1), (0.01, 1), (0.05, 2)])
     def test_residual_is_integral_form(self, mu, m):
         # the residual of u = R^m[V(1-u)] + (*^m f) * u, f = mu^(1/m) R[u],
-        # assembled here independently of the solver's step
+        # assembled by the field-space oracle; the two evaluation orders
+        # differ by roundoff only
         sol = bose_solve(problem(v_mass=0.3, xi=1.2, mu=mu, m=m))
-        p, u = sol.problem, sol.u
-        rhs = resolvent_apply(Field(G, p.V.values * (1.0 - u.values)), p.xi, p.m)
-        if mu > 0:
-            f = mu ** (1.0 / m) * resolvent_apply(u, p.xi, 1)
-            rhs = rhs + convolve(conv_power(f, m), u)
-        assert sol.report.residual == l1_norm(u - rhs)
+        u = sol.u
+        rhs = old_step(sol.problem)(u)
+        gap = abs(sol.report.residual - l1_norm(u - rhs))
+        assert gap <= 2.0**-52 * (l1_norm(u) + l1_norm(rhs))
         assert sol.report.residual <= 10.0 * sol.report.tol
         assert sol.report.final_mass == integral(u) == sol.report.masses[-1]
         assert sol.report.masses[0] == 0.0
+
+    @pytest.mark.parametrize("grid", [G, G2], ids=["1d", "2d"])
+    @pytest.mark.parametrize("mu", [0.0, 0.05])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_matches_field_space_oracle(self, grid, mu, m):
+        prob = problem(v_mass=0.3, xi=1.2, mu=mu, m=m, grid=grid)
+        sol = bose_solve(prob)
+        u_old, rep_old = old_solve(prob)
+        assert rep_old.converged
+        assert sol.report.iterations == rep_old.iterations
+        scale = np.abs(u_old.values).max()
+        assert np.abs(sol.u.values - u_old.values).max() <= 2.0**-49 * scale
+
+    @pytest.mark.parametrize("mu", [0.0, 0.05])
+    def test_two_steps_match_oracle(self, mu):
+        # the second step is the first to see a non-zero u
+        prob = problem(v_mass=0.3, xi=1.2, mu=mu, m=2)
+        with pytest.raises(NotConverged) as exc:
+            bose_solve(prob, max_iter=2)
+        u_old, _ = old_solve(prob, max_iter=2)
+        got = exc.value.solution.u.values
+        assert np.abs(got - u_old.values).max() <= 2.0**-49 * np.abs(u_old.values).max()
+
+    @pytest.mark.parametrize("mu,per_step", [(0.0, 2), (0.05, 3)])
+    def test_transforms_per_step(self, monkeypatch, mu, per_step):
+        calls = []
+        for name in ("fftn", "ifftn"):
+            orig = getattr(scipy.fft, name)
+
+            def counted(*args, _orig=orig, **kwargs):
+                calls.append(1)
+                return _orig(*args, **kwargs)
+
+            monkeypatch.setattr(scipy.fft, name, counted)
+        sol = bose_solve(problem(v_mass=0.3, xi=1.2, mu=mu, m=2))
+        # one step per iteration plus the residual's
+        assert len(calls) == per_step * (sol.report.iterations + 1)
 
     def test_deterministic(self):
         a = bose_solve(problem(v_mass=0.3, mu=0.01)).u.values

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from convlab import read_cvlf, uniform_field, write_cvlf
+from convlab import cli, errors, read_cvlf, uniform_field, write_cvlf
 from convlab.cli import main
 from convlab.field import Grid
 
@@ -48,6 +48,11 @@ class TestTq:
 
     @pytest.mark.parametrize("coeffs", ["0,,1", "1,", ",1"])
     def test_rejects_empty_entry(self, tmp_path, coeffs):
+        assert main(["tq", "--coeffs", coeffs]) == 2
+        assert read_json(tmp_path / "convlab-manifest.json")["exit_code"] == 2
+
+    @pytest.mark.parametrize("coeffs", ["1_0", "+1", "1,-0", "\u0661", "1,0x1"])
+    def test_rejects_non_digit_entry(self, tmp_path, coeffs):
         assert main(["tq", "--coeffs", coeffs]) == 2
         assert read_json(tmp_path / "convlab-manifest.json")["exit_code"] == 2
 
@@ -202,6 +207,18 @@ class TestBose:
         assert code == 3
         assert "error" in read_json(tmp_path / "b.json")
 
+    def test_diverging_solve_exit(self, tmp_path):
+        code = main(
+            ["bose", "--V", "gaussian:sigma=0.6,mass=0.3", "--mu", "1e6", *GRID_ARGS,
+             "--max-iter", "50", "--report", "b.json"]
+        )
+        assert code == 3
+        text = (tmp_path / "b.json").read_text()
+        rep = json.loads(text, parse_constant=lambda c: pytest.fail(f"non-finite {c} in report"))
+        assert rep["error"].startswith("the step overflowed after ")
+        assert rep["report"]["converged"] is False and rep["report"]["residual"] is None
+        assert read_json(tmp_path / "convlab-manifest.json")["exit_code"] == 3
+
     def test_smallness_guard_exit(self):
         assert main(["bose", "--V", "gaussian:sigma=0.6,mass=0.8", *GRID_ARGS]) == 2
 
@@ -244,6 +261,42 @@ class TestVerify:
         assert main(["verify", "--coeffs", "1", "--field", "f.cvlf"]) == 0
         path.write_bytes(cut(path.read_bytes()))
         assert main(["verify", "--coeffs", "1", "--field", "f.cvlf"]) == 2
+
+
+    def test_non_finite_cvlf_exit(self, tmp_path):
+        g = Grid(dim=1, extent=8.0, points_per_axis=256)
+        path = tmp_path / "f.cvlf"
+        write_cvlf(uniform_field(g, mass=0.2), str(path))
+        data = bytearray(path.read_bytes())
+        data[-8:] = np.float64(np.nan).tobytes()
+        path.write_bytes(bytes(data))
+        assert main(["verify", "--coeffs", "1", "--field", "f.cvlf"]) == 2
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "exc,code",
+        [
+            (errors.NotConverged, 3),
+            (errors.CeilingViolated, 3),
+            (errors.ConvergenceFailure, 3),
+            (errors.InvalidCoefficients, 2),
+            (errors.GridMismatch, 2),
+            (errors.InvalidOrder, 2),
+            (errors.MassTooLarge, 2),
+            (errors.DecayGuard, 2),
+            (errors.ConvlabError, 2),
+            (ValueError, 2),
+        ],
+    )
+    def test_error_class_to_exit_code(self, tmp_path, monkeypatch, capsys, exc, code):
+        def handler(args):
+            raise exc("boom")
+
+        monkeypatch.setattr(cli, "_cmd_tq", handler)
+        assert main(["tq", "--coeffs", "1"]) == code
+        assert read_json(tmp_path / "convlab-manifest.json")["exit_code"] == code
+        assert capsys.readouterr().err == "error: boom\n"
 
 
 class TestDeterminism:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -171,6 +172,24 @@ class TestFixedPoint:
         drop = Field(self.GD, np.full(self.GD.shape, 1e-13))
         _, rep = fixed_point(lambda f: f - drop, self.ones(), 1.0, 5)
         assert rep.converged and rep.monotone_ok
+
+    @pytest.mark.parametrize(
+        "step,iterations",
+        [
+            (lambda f: 2.0**1000 * f, 1),  # numpy overflows on the second step
+            (lambda f: Field(f.grid, np.full(f.grid.shape, 2.0**1020)), 0),  # fsum overflows
+        ],
+        ids=["ufunc", "fsum"],
+    )
+    def test_overflow_ends_the_run(self, step, iterations):
+        u, rep = fixed_point(step, self.ones(), 2.0**-10, 100)
+        assert not rep.converged and rep.residual is None
+        assert rep.iterations == len(rep.l1_deltas) == iterations
+        assert len(rep.masses) == iterations + 1 and rep.final_mass == integral(u)
+        assert np.isfinite(u.values).all()
+        json.dumps(rep.to_json(), allow_nan=False)
+        err = rep.not_converged(field=u)
+        assert str(err) == f"the step overflowed after {iterations} iterations"
 
     @pytest.mark.parametrize("max_iter", [0, -1])
     def test_max_iter_rejected(self, max_iter):

@@ -51,6 +51,13 @@ class TestCoeffVector:
         with pytest.raises(InvalidCoefficients):
             CoeffVector.parse(text)
 
+    @pytest.mark.parametrize(
+        "text", ["1_0", "+1", "1,-0", "1,-1", "\u0661", "1,\u00b2", "0x1", "1e2", "9" * 5000]
+    )
+    def test_parse_accepts_ascii_digits_only(self, text):
+        with pytest.raises(InvalidCoefficients):
+            CoeffVector.parse(text)
+
 
 class TestBuildPoly:
     def test_two_fold_anchor(self):
