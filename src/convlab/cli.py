@@ -270,7 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
         "periodized to the box",
     )
     sp.add_argument("--a", type=float, required=True, help="mass parameter, 0 < a <= 0.5")
-    sp.add_argument("--t", type=float, required=True, help="scale parameter, t > 0")
+    sp.add_argument(
+        "--t", type=float, required=True, help="scale parameter, t * points / extent >= 8"
+    )
     _add_grid(sp)
     sp.add_argument("--out", default=None, help="field output (.csv for d=1, else .cvlf)")
     sp.add_argument("--report", default=None)

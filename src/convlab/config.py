@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    critical_point: float = 1e-14   # |Q'(t_q)| <= critical_point * max(1, sum n*a_n)
     root_residual: float = 1e-10    # |Q'(root)| <= root_residual * sum(n*a_n)
     negative_clamp: float = 1e-12   # how negative a "non-negative" input may be
     pair_slack: float = 1e-14       # additive slack in the pairwise injectivity check

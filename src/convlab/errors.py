@@ -40,7 +40,8 @@ class ConvergenceFailure(ConvlabError):
 
 
 class DecayGuard(ConvlabError):
-    """Kernel scale too coarse for the box: t*L below the decay threshold."""
+    """Witness scale under-resolved: t * M / L, the scale t in grid spacings,
+    below the witness threshold."""
 
 
 class CeilingViolated(ConvlabError):

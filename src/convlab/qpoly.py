@@ -13,10 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .config import DEFAULT_TOLS
-from .errors import ConvergenceFailure, InvalidCoefficients
-
-_BISECT_STEPS = 60
+from .errors import InvalidCoefficients
 
 
 @dataclass(frozen=True)
@@ -122,49 +119,41 @@ def _coeffs_of(p: PolyQ | CoeffVector) -> CoeffVector:
     return p.coeffs if isinstance(p, PolyQ) else p
 
 
-def _p_second(a: tuple[int, ...], t: float) -> float:
-    acc = 0.0
-    for n in range(len(a) + 1, 1, -1):
-        acc = acc * t + n * (n - 1) * a[n - 2]
-    return acc
-
-
 def build_poly(coeffs: CoeffVector) -> PolyQ:
-    """Locate t_q by bisection on [0, 1] followed by Newton polish.
+    """Locate t_q by bisection on the doubles in [0, 1], each sign of Q'
+    taken exactly in integers.
 
-    The bracket is analytically valid: Q'(0) = 1 > 0 and
-    Q'(1) = 1 - sum n a_n <= -1 < 0.
+    The loop keeps Q'(lo) > 0 >= Q'(hi), which holds at the start since
+    Q'(0) = 1 and Q'(1) = 1 - sum n a_n <= -1, and stops when lo and hi are
+    adjacent doubles: that proves t_q lies in [lo, hi]. The end with the
+    smaller exact |Q'| is returned, lo on a tie. Q' is decreasing and
+    concave on (0, oo), so when that end is hi, hi is also the nearer one.
     """
     if not isinstance(coeffs, CoeffVector):
         coeffs = CoeffVector(coeffs)
-    t = _critical_point(coeffs)
-    scale = max(1.0, float(sum(n * a for n, a in coeffs.terms())))
-    if abs(eval_q_prime(coeffs, t)) > DEFAULT_TOLS.critical_point * scale:
-        raise ConvergenceFailure(
-            f"critical point residual {eval_q_prime(coeffs, t):.3e} above tolerance"
-        )
+    a = coeffs.coeffs
+    lo, hi = 0.0, 1.0
+    q_lo, q_hi = _scaled_q_prime(a, lo), _scaled_q_prime(a, hi)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        q_mid = _scaled_q_prime(a, mid)
+        if q_mid[0] > 0:
+            lo, q_lo = mid, q_mid
+        else:
+            hi, q_hi = mid, q_mid
+    # |Q'(lo)| <= |Q'(hi)|, cross-multiplied over the two scales
+    t = lo if q_lo[0] * q_hi[1] <= -q_hi[0] * q_lo[1] else hi
     return PolyQ(coeffs=coeffs, t_q=t, q_max=eval_q(coeffs, t))
 
 
-def _critical_point(coeffs: CoeffVector, bisect_steps: int = _BISECT_STEPS) -> float:
-    lo, hi = 0.0, 1.0
-    for _ in range(bisect_steps):
-        mid = 0.5 * (lo + hi)
-        if eval_q_prime(coeffs, mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    t = 0.5 * (lo + hi)
-    a = coeffs.coeffs
-    for _ in range(50):
-        deriv = -_p_second(a, t)
-        if deriv == 0.0:
-            break
-        step = eval_q_prime(coeffs, t) / deriv
-        t -= step
-        if abs(step) <= 1e-17 * max(1.0, abs(t)):
-            break
-    return t
+def _scaled_q_prime(a: tuple[int, ...], t: float) -> tuple[int, int]:
+    """(Q'(t) den^(N-1), den^(N-1)) exactly, for t = num/den: Horner on
+    den^(N-1) - sum n a_n num^(n-1) den^(N-n)."""
+    num, den = t.as_integer_ratio()
+    acc, scale = 0, 1
+    for n in range(len(a) + 1, 1, -1):
+        acc = acc * num + n * a[n - 2] * scale
+        scale *= den
+    return scale - acc * num, scale
 
 
 # Exact-rational twins. Direct power sums, deliberately not Horner, so the

@@ -33,10 +33,6 @@ class CoeffTable:
     def l_cap(self) -> int:
         return len(self.rows[0])
 
-    @property
-    def j_max(self) -> int:
-        return len(self.rows) - 1
-
     def m(self, j: int, l: int) -> int:
         """Entry m_{j,l}; zero above the stored cap (valid only when the
         cap covers N2^j, see cap_too_small)."""

@@ -11,8 +11,12 @@ non-negative function dominates the periodization of f*f node by node).
 In one dimension the periodized kernel has the classical closed form
 (a/L) sinh(2 pi t/L) / (cosh(2 pi t/L) - cos(2 pi x/L)); in higher
 dimensions it is synthesized from its Fourier coefficients
-a e^{-2 pi t ||xi||}, which decay fast enough that truncation at the
-Nyquist shell is far below roundoff for admissible t L.
+a e^{-2 pi t ||xi||}, truncated at the Nyquist shell ||xi|| = M/(2L).
+Both routes depend on the resolution t M / L, the scale t in grid
+spacings: the synthesis drops a symbol tail of about e^{-pi t M/L} and
+the 1-d closed form aliases the mass by about 2a e^{-2 pi t M/L}. The
+guard t M / L >= 8 keeps the dropped tail below e^{-8 pi} ~ 1.2e-11 and
+the 1-d mass at a to roundoff.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 from .errors import DecayGuard
 from .field import Field, Grid, _field_from_symbol, _k_squared, convolve, integral, min_value
 
-MIN_DECAY_PRODUCT = 4.0
+MIN_RESOLUTION = 8.0  # t M / L, the scale t in grid spacings
 
 
 @dataclass(frozen=True)
@@ -41,12 +45,14 @@ class PoissonParams:
 
 
 def poisson_field(params: PoissonParams) -> Field:
-    """Periodized Poisson witness; discrete mass equals a to roundoff."""
+    """Periodized Poisson witness; discrete mass equals a to roundoff.
+    Raises DecayGuard when t M / L < MIN_RESOLUTION."""
     grid = params.grid
-    if params.t * grid.extent < MIN_DECAY_PRODUCT:
+    resolution = params.t * grid.points_per_axis / grid.extent
+    if resolution < MIN_RESOLUTION:
         raise DecayGuard(
-            f"t * L = {params.t * grid.extent:.3g} < {MIN_DECAY_PRODUCT}; "
-            "kernel too wide for this box"
+            f"t * M / L = {resolution:.3g} < {MIN_RESOLUTION:g}; "
+            "kernel too narrow for this grid"
         )
     if grid.dim == 1:
         w = 2.0 * np.pi / grid.extent

@@ -1,4 +1,5 @@
 import json
+import shlex
 import shutil
 import subprocess
 import sys
@@ -181,6 +182,16 @@ class TestWitness:
     def test_decay_guard_exit(self):
         assert main(["witness", "--a", "0.3", "--t", "0.1", *GRID_ARGS]) == 2
 
+    @pytest.mark.parametrize(
+        "grid", [["--t", "0.25", "--dim", "2", "--extent", "16", "--points", "64"],
+                 ["--t", "0.5", "--dim", "1", "--extent", "8", "--points", "16"]],
+    )
+    def test_under_resolved_exit(self, tmp_path, capsys, grid):
+        # t L >= 4 but t M / L = 1; unguarded: min_slack -1.22e-3, and mass 0.501871
+        assert main(["witness", "--a", "0.5", *grid, "--report", "wr.json"]) == 2
+        assert "t * M / L = 1 < 8" in capsys.readouterr().err
+        assert not (tmp_path / "wr.json").exists()
+
     def test_amplitude_validation_exit(self):
         assert main(["witness", "--a", "0.7", "--t", "1", *GRID_ARGS]) == 2
 
@@ -317,6 +328,28 @@ class TestDeterminism:
         ma["config"].pop("out"), mb["config"].pop("out")
         ma["config"].pop("report"), mb["config"].pop("report")
         assert ma == mb
+
+
+def readme_commands() -> list[list[str]]:
+    """The fenced block under README's "## Command line", one argv per
+    command with backslash continuations joined."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text.split("\n## Command line\n", 1)[1]
+    block = section.split("```\n", 2)[1]
+    return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+
+
+class TestReadme:
+    def test_command_examples_run(self, tmp_path):
+        commands = readme_commands()
+        assert [argv[1] for argv in commands] == [
+            "tq", "series", "disk", "construct", "witness", "bose", "verify"
+        ]
+        for argv in commands:
+            assert argv[0] == "convlab"
+            manifest = str(tmp_path / f"{argv[1]}-manifest.json")
+            assert main(["--manifest", manifest, *argv[1:]]) == 0, argv
+            assert read_json(manifest)["exit_code"] == 0
 
 
 class TestConsoleScript:

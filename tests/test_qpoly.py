@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +7,6 @@ import pytest
 
 from convlab import CoeffVector, InvalidCoefficients, build_poly
 from convlab.qpoly import (
-    _critical_point,
     eval_p,
     eval_p_exact,
     eval_p_prime,
@@ -19,6 +20,67 @@ from convlab.qpoly import (
 
 def monomial(m: int, a: int = 1) -> CoeffVector:
     return CoeffVector([0] * (m - 2) + [a])
+
+
+def _p_second(a: tuple[int, ...], t: float) -> float:
+    acc = 0.0
+    for n in range(len(a) + 1, 1, -1):
+        acc = acc * t + n * (n - 1) * a[n - 2]
+    return acc
+
+
+def old_critical_point(coeffs: CoeffVector) -> float:
+    """The earlier float algorithm, kept as an oracle: 60 bisection steps on
+    [0, 1], then Newton on Q' until a step is below 1e-17 max(1, t)."""
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if eval_q_prime(coeffs, mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    t = 0.5 * (lo + hi)
+    a = coeffs.coeffs
+    for _ in range(50):
+        deriv = -_p_second(a, t)
+        if deriv == 0.0:
+            break
+        step = eval_q_prime(coeffs, t) / deriv
+        t -= step
+        if abs(step) <= 1e-17 * max(1.0, abs(t)):
+            break
+    return t
+
+
+def certificate_vectors() -> list[CoeffVector]:
+    """Every vector of degree <= 6 with a_n <= 3 (1359), then 300 seeded
+    random ones of degree <= 10 with a_n up to 10^6, about 40% zeros."""
+    vecs = [
+        CoeffVector(v)
+        for length in range(1, 6)
+        for v in itertools.product(range(4), repeat=length)
+        if any(v)
+    ]
+    rng = np.random.default_rng(13)
+    for _ in range(300):
+        n = int(rng.integers(2, 11))
+        a = rng.integers(0, 10**6 + 1, size=n - 1) * (rng.random(n - 1) < 0.6)
+        if not a.any():
+            a[-1] = int(rng.integers(1, 10**6 + 1))
+        vecs.append(CoeffVector([int(v) for v in a]))
+    return vecs
+
+
+@pytest.fixture(scope="module")
+def certified():
+    """(c, t_q, the other end of the proved bracket) for every vector."""
+    rows = []
+    for c in certificate_vectors():
+        t = build_poly(c).t_q
+        # t is lo exactly when Q'(t) > 0, so the bracket's other end is above it
+        other = math.nextafter(t, 1.0 if eval_q_prime_exact(c, Fraction(t)) > 0 else 0.0)
+        rows.append((c, t, other))
+    return rows
 
 
 class TestCoeffVector:
@@ -122,14 +184,51 @@ class TestBuildPoly:
                 continue
             assert eval_p_prime(c, s) < eval_p_prime(c, t)
 
-    def test_bracket_independence(self):
-        for coeffs in ([1], [0, 1], [1, 1], [2, 0, 0, 3]):
+    def test_exact_roots_returned_exactly(self):
+        # Q'(t) = 1 - 2 a_2 t - 4 a_4 t^3 vanishes on a double here
+        for coeffs, root in (([1], 0.5), ([1, 0, 0], 0.5), ([2], 0.25), ([0, 0, 16], 0.25),
+                             ([1024], 2.0**-11)):
             c = CoeffVector(coeffs)
-            t60 = _critical_point(c, bisect_steps=60)
-            t40 = _critical_point(c, bisect_steps=40)
-            t20 = _critical_point(c, bisect_steps=20)
-            assert abs(t60 - t40) <= 1e-13
-            assert abs(t60 - t20) <= 1e-13
+            assert eval_q_prime_exact(c, Fraction(root)) == 0
+            p = build_poly(c)
+            assert p.t_q == root
+            assert p.q_max == eval_q(c, root)
+
+
+class TestCertificate:
+    def test_set_size(self, certified):
+        assert len(certified) == 1659
+
+    def test_exact_bracket(self, certified):
+        for c, t, other in certified:
+            lo, hi = sorted((t, other))
+            assert math.nextafter(lo, 1.0) == hi
+            assert eval_q_prime_exact(c, Fraction(lo)) > 0 >= eval_q_prime_exact(c, Fraction(hi))
+
+    def test_smaller_residual_end(self, certified):
+        for c, t, _ in certified:
+            here = abs(eval_q_prime_exact(c, Fraction(t)))
+            assert here <= abs(eval_q_prime_exact(c, Fraction(math.nextafter(t, 0.0))))
+            assert here <= abs(eval_q_prime_exact(c, Fraction(math.nextafter(t, 1.0))))
+
+    def test_nearer_end(self, certified):
+        # Q' is decreasing, so the root lies above the bracket's midpoint
+        # exactly when Q' is positive there; a root on the midpoint goes to lo
+        for c, t, other in certified:
+            mid = (Fraction(t) + Fraction(other)) / 2
+            assert (eval_q_prime_exact(c, mid) > 0) == (t > other)
+
+    def test_against_old_algorithm(self, certified):
+        for c, t, other in certified:
+            old = old_critical_point(c)
+            q_old = abs(eval_q_prime_exact(c, Fraction(old)))
+            assert abs(eval_q_prime_exact(c, Fraction(t))) <= q_old
+            if old not in (math.nextafter(t, 0.0), t, math.nextafter(t, 1.0)):
+                # the old Newton stop, an absolute 1e-17, is coarser than an
+                # ulp once t_q << 1: the old point then lies outside the
+                # proved bracket, and the new one is the nearer end of it
+                lo, hi = sorted((t, other))
+                assert not lo <= old <= hi
 
 
 class TestEval:

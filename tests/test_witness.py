@@ -44,6 +44,28 @@ class TestParams:
         with pytest.raises(DecayGuard):
             poisson_field(PoissonParams(a=0.3, t=0.2, grid=G1))
 
+    @pytest.mark.parametrize(
+        "dim, extent, points, t",
+        # t L >= 4 but t M / L = 1 here, too coarse: unguarded they give a
+        # negative f - f*f (2-d), a negative f (2-d, L = 64) and a 1-d mass
+        # 0.501871 for a = 0.5
+        [(2, 16.0, 64, 0.25), (2, 64.0, 64, 0.1), (1, 8.0, 16, 0.5)],
+    )
+    def test_decay_guard_reads_resolution(self, dim, extent, points, t):
+        grid = Grid(dim=dim, extent=extent, points_per_axis=points)
+        with pytest.raises(DecayGuard, match=r"t \* M / L"):
+            poisson_field(PoissonParams(a=0.5, t=t, grid=grid))
+
+    @pytest.mark.parametrize("dim, extent, points", [(1, 16.0, 64), (2, 16.0, 64), (3, 8.0, 32)])
+    def test_witness_at_the_guard(self, dim, extent, points):
+        # t M / L = 8 exactly: a witness with mass a, as in the continuum
+        grid = Grid(dim=dim, extent=extent, points_per_axis=points)
+        f = poisson_field(PoissonParams(a=0.5, t=8.0 * extent / points, grid=grid))
+        slack, mass = check_two_fold(f)
+        assert slack >= 0.0
+        assert min_value(f) > 0.0
+        assert mass == pytest.approx(0.5, abs=1e-15)
+
 
 class TestKernel:
     def test_mass_is_amplitude(self):
