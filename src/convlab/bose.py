@@ -42,10 +42,10 @@ class BoseProblem:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError(f"resolvent order m must be >= 1, got {self.m}")
-        if not self.xi > 0:
-            raise ValueError(f"spectral shift xi must be positive, got {self.xi}")
-        if self.mu < 0:
-            raise ValueError(f"coupling mu must be non-negative, got {self.mu}")
+        if not 0 < self.xi < inf:
+            raise ValueError(f"spectral shift xi must be positive and finite, got {self.xi}")
+        if not 0 <= self.mu < inf:
+            raise ValueError(f"coupling mu must be non-negative and finite, got {self.mu}")
         if self.V.grid != self.grid:
             raise ValueError("potential sampled on a different grid")
         if min_value(self.V) < 0:

@@ -5,8 +5,9 @@ table and inverse series), disk (complex-disk certificates), construct
 (fixed-point builder), witness (Poisson family), bose (resolvent solver),
 verify (inequality check on a stored field). Every run writes a manifest
 JSON with the resolved configuration, package version and wall time; all
-artifacts are written atomically. Exit codes: 0 success, 2 validation
-error, 3 convergence or certificate failure (diagnostics still written).
+artifacts are written atomically. Exit codes: 0 success, 2 invalid input
+(including a path that cannot be read or written), 3 convergence or
+certificate failure (diagnostics still written).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 
 from . import __version__
 from . import bose as bose_mod
@@ -24,12 +26,27 @@ from .ioutil import atomic_write_text
 from .qpoly import CoeffVector, build_poly
 
 
+@contextmanager
+def _user_path(path: str):
+    """An OSError on a path the user named is bad input: exit 2, not a traceback."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc.strerror or exc}") from exc
+
+
 def _emit(payload: dict, path: str | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if path:
-        atomic_write_text(path, text)
+        with _user_path(path):
+            atomic_write_text(path, text)
     else:
         sys.stdout.write(text)
+
+
+def _read_field(path: str) -> field.Field:
+    with _user_path(path):
+        return field.read_cvlf(path)
 
 
 def _grid_from_args(args) -> field.Grid:
@@ -41,7 +58,7 @@ def _parse_field_spec(spec: str, grid: field.Grid) -> field.Field:
     'file:<path.cvlf>'."""
     kind, _, rest = spec.partition(":")
     if kind == "file":
-        f = field.read_cvlf(rest)
+        f = _read_field(rest)
         if f.grid != grid:
             raise GridMismatch(f"{rest} holds a {f.grid}, expected {grid}")
         return f
@@ -69,10 +86,11 @@ def _parse_field_spec(spec: str, grid: field.Grid) -> field.Field:
 
 
 def _write_field(f: field.Field, path: str) -> None:
-    if path.endswith(".csv"):
-        field.write_csv(f, path)
-    else:
-        field.write_cvlf(f, path)
+    with _user_path(path):
+        if path.endswith(".csv"):
+            field.write_csv(f, path)
+        else:
+            field.write_cvlf(f, path)
 
 
 # --- subcommand handlers --------------------------------------------------
@@ -177,7 +195,7 @@ def _cmd_bose(args) -> int:
 def _cmd_verify(args) -> int:
     coeffs = CoeffVector.parse(args.coeffs)
     p = build_poly(coeffs)
-    f = field.read_cvlf(args.field)
+    f = _read_field(args.field)
     slack, mass = constructor.verify_inequality(f, coeffs)
     scale = field.l1_norm(f)
     slack_ok = slack >= -1e-10 * max(1.0, scale)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    root_residual: float = 1e-10    # |Q'(root)| <= root_residual * sum(n*a_n)
+    root_residual: float = 1e-10    # |Q'(z)| <= root_residual * sum |c_k| |z|^k
     negative_clamp: float = 1e-12   # how negative a "non-negative" input may be
     pair_slack: float = 1e-14       # additive slack in the pairwise injectivity check
     monotone_slack: float = 1e-12   # pointwise backsliding allowed between iterates

@@ -6,22 +6,22 @@ dominant singularity of 1/Q' on the positive axis); |P'(z)| < 1 on the
 open disk; and |P(z)/z| < 1 there. The first is checked on the computed
 root set. For the other two, P' and P/z have non-negative coefficients, so
 |P'(z)| <= P'(|z|) and their suprema on |z| <= r are P'(r) and P(r)/r; these
-are evaluated exactly at a rational r = 0.999 t_q and rounded once. The
-lower Lipschitz bound |Q(z1) - Q(z2)| >= (1 - P'(r)) |z1 - z2| then gives
-injectivity of Q; random pairs cross-check it.
+are evaluated exactly at the double r = 0.999 t_q by qpoly's one exact
+evaluator and rounded once. The lower Lipschitz bound
+|Q(z1) - Q(z2)| >= (1 - P'(r)) |z1 - z2| then gives injectivity of Q;
+random pairs cross-check it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import accel
 from .config import DEFAULT_TOLS
 from .errors import ConvergenceFailure
-from .qpoly import CoeffVector, PolyQ, eval_p_exact, eval_p_prime_exact
+from .qpoly import CoeffVector, PolyQ, _exact_at
 
 SCAN_RADIUS_FACTOR = 0.999
 
@@ -85,11 +85,11 @@ def qprime_roots(coeffs: CoeffVector) -> list[complex]:
             else:
                 break
         polished.append(z)
-    scale = float(sum(n * a for n, a in coeffs.terms()))
-    worst = max(abs(_horner(qp, z)) for z in polished)
+    # backward error: |Q'(z)| against sum |c_k| |z|^k, the size of the terms
+    worst = max(abs(_horner(qp, z)) / _horner(np.abs(qp), abs(z)).real for z in polished)
     tol = DEFAULT_TOLS.root_residual
-    if worst > tol * scale:
-        raise ConvergenceFailure(f"root residual {worst:.3e} above {tol} * {scale}")
+    if worst > tol:
+        raise ConvergenceFailure(f"relative root residual {worst:.3e} above {tol}")
     return sorted(polished, key=lambda z: (abs(z), z.real, z.imag))
 
 
@@ -104,13 +104,15 @@ def disk_scan(p: PolyQ, pair_samples: int = 10_000, rng_seed: int = 0) -> DiskRe
     pairwise injectivity checks of Q. Violations are counted, not raised;
     the strict bounds hold only on the open disk, hence the 0.999.
 
-    Each sup is the exact value at the rational radius, correctly rounded,
+    Each sup is the exact value at the radius, a double, correctly rounded,
     so a reported value below 1.0 proves the bound on the closed disk."""
     coeffs = p.coeffs
     radius = SCAN_RADIUS_FACTOR * p.t_q
-    r_exact = Fraction(radius)
-    sup_pp = float(eval_p_prime_exact(coeffs, r_exact))
-    sup_poz = float(eval_p_exact(coeffs, r_exact) / r_exact)
+    a = coeffs.coeffs
+    num, den = _exact_at((0, *(n * an for n, an in enumerate(a, start=2))), radius)
+    sup_pp = num / den
+    num, den = _exact_at((0, *a), radius)  # P(r)/r = sum a_n r^(n-1)
+    sup_poz = num / den
 
     rng = np.random.default_rng(rng_seed)
     z1 = _sample_disk(rng, pair_samples, radius)

@@ -41,8 +41,8 @@ class Grid:
     def __post_init__(self):
         if self.dim not in (1, 2, 3):
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
-        if not self.extent > 0:
-            raise ValueError("extent must be positive")
+        if not 0 < self.extent < math.inf:
+            raise ValueError(f"extent must be positive and finite, got {self.extent}")
         m = self.points_per_axis
         if m < 16 or (m & (m - 1)) != 0:
             raise ValueError(f"points_per_axis must be a power of two >= 16, got {m}")

@@ -5,12 +5,16 @@ Q' has a zero in (0, 1); non-negativity of the a_n makes P' = 1 - Q'
 strictly increasing on (0, oo), hence that zero t_q is unique and Q attains
 its positive maximum q_max = Q(t_q) there. t_q is the sharp L1 mass bound
 for solutions of f >= sum a_n (*^n f), and q_max bounds admissible seeds.
+
+Every certified number rests on an exact polynomial value at a double: the
+signs of Q' that prove t_q here, and the disk sups P'(r), P(r)/r and the
+mass-certificate rows, each rounded once. All come from one evaluator,
+_exact_at, integer Horner on t.as_integer_ratio().
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import InvalidCoefficients
@@ -33,6 +37,10 @@ class CoeffVector:
             raise InvalidCoefficients(f"negative coefficient in {self.coeffs}")
         if all(a == 0 for a in self.coeffs):
             raise InvalidCoefficients("all coefficients zero")
+        try:  # bounds every n a_n that a float path converts
+            float(sum(n * a for n, a in enumerate(self.coeffs, start=2)))
+        except OverflowError:
+            raise InvalidCoefficients("sum n a_n exceeds the float range") from None
 
     @property
     def degree_max(self) -> int:
@@ -131,47 +139,27 @@ def build_poly(coeffs: CoeffVector) -> PolyQ:
     """
     if not isinstance(coeffs, CoeffVector):
         coeffs = CoeffVector(coeffs)
-    a = coeffs.coeffs
+    qp = (1, *(-n * a for n, a in enumerate(coeffs.coeffs, start=2)))
     lo, hi = 0.0, 1.0
-    q_lo, q_hi = _scaled_q_prime(a, lo), _scaled_q_prime(a, hi)
+    q_lo, q_hi = _exact_at(qp, lo), _exact_at(qp, hi)
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        q_mid = _scaled_q_prime(a, mid)
+        q_mid = _exact_at(qp, mid)
         if q_mid[0] > 0:
             lo, q_lo = mid, q_mid
         else:
             hi, q_hi = mid, q_mid
-    # |Q'(lo)| <= |Q'(hi)|, cross-multiplied over the two scales
+    # |Q'(lo)| <= |Q'(hi)|, cross-multiplied over the two denominators
     t = lo if q_lo[0] * q_hi[1] <= -q_hi[0] * q_lo[1] else hi
     return PolyQ(coeffs=coeffs, t_q=t, q_max=eval_q(coeffs, t))
 
 
-def _scaled_q_prime(a: tuple[int, ...], t: float) -> tuple[int, int]:
-    """(Q'(t) den^(N-1), den^(N-1)) exactly, for t = num/den: Horner on
-    den^(N-1) - sum n a_n num^(n-1) den^(N-n)."""
-    num, den = t.as_integer_ratio()
-    acc, scale = 0, 1
-    for n in range(len(a) + 1, 1, -1):
-        acc = acc * num + n * a[n - 2] * scale
-        scale *= den
-    return scale - acc * num, scale
-
-
-# Exact-rational twins. Direct power sums, deliberately not Horner, so the
-# float path and the oracle path share no evaluation code.
-
-def eval_p_exact(coeffs: CoeffVector, t: Fraction) -> Fraction:
-    t = Fraction(t)
-    return sum((Fraction(a) * t**n for n, a in coeffs.terms()), Fraction(0))
-
-
-def eval_p_prime_exact(coeffs: CoeffVector, t: Fraction) -> Fraction:
-    t = Fraction(t)
-    return sum((Fraction(n * a) * t ** (n - 1) for n, a in coeffs.terms()), Fraction(0))
-
-
-def eval_q_exact(coeffs: CoeffVector, t: Fraction) -> Fraction:
-    return Fraction(t) - eval_p_exact(coeffs, t)
-
-
-def eval_q_prime_exact(coeffs: CoeffVector, t: Fraction) -> Fraction:
-    return 1 - eval_p_prime_exact(coeffs, t)
+def _exact_at(c: Sequence[int], t: float) -> tuple[int, int]:
+    """sum_k c_k t^k for ascending integer coefficients c, exactly, as
+    (num, den) with den a power of two: integer Horner on t = p/q, giving
+    sum_k c_k p^k q^(K-k) over q^K. num / den rounds it once, correctly."""
+    p, q = t.as_integer_ratio()
+    num, den = c[-1], 1
+    for ck in c[-2::-1]:
+        den *= q
+        num = num * p + ck * den
+    return num, den

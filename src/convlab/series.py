@@ -13,11 +13,10 @@ Polynomials are dense Python-int lists indexed by degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 import math
 
 from .errors import InvalidCoefficients
-from .qpoly import CoeffVector, PolyQ
+from .qpoly import CoeffVector, PolyQ, _exact_at
 
 DEFAULT_J = 16
 DEFAULT_L_CAP = 64
@@ -166,28 +165,18 @@ def compose_q(series: LimitSeries) -> list[int]:
     return [cv - pv for cv, pv in zip(cpoly, comp)]
 
 
-def eval_row(table: CoeffTable, j: int, s: Fraction) -> Fraction:
-    """sum_l m_{j,l} s^l in exact rationals (Horner from the top column)."""
-    s = Fraction(s)
-    acc = Fraction(0)
-    for mv in reversed(table.rows[j]):
-        acc = acc * s + mv
-    return acc * s
-
-
 def mass_bound_certificate(table: CoeffTable, p: PolyQ) -> list[float]:
     """Per-row sums s_j = sum_l m_{j,l} q_max^l.
 
     These are the masses of the iterates when the seed has the critical
     mass q_max; the construction guarantees s_j <= t_q, non-decreasing in
-    j. Evaluated in exact rationals (q_max taken as its exact binary
-    value) because the integer entries overflow floats long before the
-    weighted sums stop being small.
+    j. Each is evaluated exactly at the double q_max by qpoly's one exact
+    evaluator and rounded once, because the integer entries overflow
+    floats long before the weighted sums stop being small.
     """
     if table.coeffs != p.coeffs:
         raise InvalidCoefficients("table and polynomial built from different coefficients")
-    q = Fraction(p.q_max)
-    return [float(eval_row(table, j, q)) for j in range(len(table.rows))]
+    return [num / den for num, den in (_exact_at((0, *row), p.q_max) for row in table.rows)]
 
 
 def reciprocal_qprime(coeffs: CoeffVector, L: int) -> tuple[list[float], float]:

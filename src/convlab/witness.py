@@ -40,8 +40,8 @@ class PoissonParams:
     def __post_init__(self):
         if not 0.0 < self.a <= 0.5:
             raise ValueError(f"amplitude a must be in (0, 0.5], got {self.a}")
-        if not self.t > 0.0:
-            raise ValueError(f"scale t must be positive, got {self.t}")
+        if not 0.0 < self.t < np.inf:
+            raise ValueError(f"scale t must be positive and finite, got {self.t}")
 
 
 def poisson_field(params: PoissonParams) -> Field:

@@ -1,4 +1,5 @@
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,28 @@ def child_env(**overrides: str) -> dict[str, str]:
     rest = os.environ.get("PYTHONPATH")
     path = src + os.pathsep + rest if rest else src
     return dict(os.environ, PYTHONPATH=path, **overrides)
+
+
+# Exact-rational oracles for the evaluator in convlab.qpoly. Direct power
+# sums, deliberately not Horner, so the package and its oracle share no
+# evaluation code.
+
+def eval_p_exact(coeffs: CoeffVector, t: Fraction) -> Fraction:
+    t = Fraction(t)
+    return sum((Fraction(a) * t**n for n, a in coeffs.terms()), Fraction(0))
+
+
+def eval_p_prime_exact(coeffs: CoeffVector, t: Fraction) -> Fraction:
+    t = Fraction(t)
+    return sum((Fraction(n * a) * t ** (n - 1) for n, a in coeffs.terms()), Fraction(0))
+
+
+def eval_q_exact(coeffs: CoeffVector, t: Fraction) -> Fraction:
+    return Fraction(t) - eval_p_exact(coeffs, t)
+
+
+def eval_q_prime_exact(coeffs: CoeffVector, t: Fraction) -> Fraction:
+    return 1 - eval_p_prime_exact(coeffs, t)
 
 
 def random_coeffs(rng: np.random.Generator, max_degree: int = 6, max_a: int = 3) -> CoeffVector:

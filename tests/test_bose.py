@@ -87,6 +87,13 @@ class TestProblem:
         with pytest.raises(ValueError):
             BoseProblem(m=1, xi=1.0, mu=0.0, V=-1.0 * v, grid=G)
 
+    @pytest.mark.parametrize("xi,mu,name", [(np.inf, 0.0, "xi"), (np.nan, 0.0, "xi"),
+                                            (1.0, np.inf, "mu"), (1.0, np.nan, "mu")])
+    def test_non_finite_parameters(self, xi, mu, name):
+        v = gaussian_field(G, sigma=0.5, mass=0.2)
+        with pytest.raises(ValueError, match=f"{name} must be .* finite"):
+            BoseProblem(m=1, xi=xi, mu=mu, V=v, grid=G)
+
 
 class TestResolvent:
     @pytest.mark.parametrize("m", [1, 2, 3])

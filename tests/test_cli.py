@@ -99,6 +99,72 @@ class TestDisk:
         ]
 
 
+    def test_backward_error_residual(self, tmp_path):
+        # a root near -19.07 has |Q'(z)| ~ 5 against terms of size ~1e17:
+        # a backward error of 4e-17, far below the 1e-10 contract
+        coeffs = "439060,412898,230049,0,56559,0,252267,455723,20956"
+        assert main(["disk", "--coeffs", coeffs, "--pairs", "100", "--out", "d.json"]) == 0
+        assert read_json(tmp_path / "d.json")["certified"] is True
+
+
+class TestInputRange:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tq", "--coeffs", "1" + "0" * 400],
+            ["disk", "--coeffs", "1" + "0" * 400],
+            ["construct", "--coeffs", "1" + "0" * 400, *GRID_ARGS, "--psi", "delta:mass=0.1"],
+            ["disk", "--coeffs", "1" + "0" * 308],
+        ],
+        ids=["tq-1e400", "disk-1e400", "construct-1e400", "disk-1e308"],
+    )
+    def test_coefficients_beyond_float_range(self, tmp_path, capsys, argv):
+        assert main(argv) == 2
+        assert read_json(tmp_path / "convlab-manifest.json")["exit_code"] == 2
+        assert capsys.readouterr().err == "error: sum n a_n exceeds the float range\n"
+
+    def test_largest_coefficients_still_run(self, tmp_path):
+        assert main(["disk", "--coeffs", "1" + "0" * 307, "--pairs", "100"]) == 0
+
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (["bose", "--xi", "inf", "--V", "gaussian:sigma=0.5,mass=0.1", *GRID_ARGS], "shift xi must"),
+            (["bose", "--mu", "nan", "--V", "gaussian:sigma=0.5,mass=0.1", *GRID_ARGS], "coupling mu must"),
+            (["bose", "--mu", "inf", "--V", "gaussian:sigma=0.5,mass=0.1", *GRID_ARGS], "coupling mu must"),
+            (["construct", "--coeffs", "1", "--dim", "1", "--extent", "inf",
+              "--points", "256", "--psi", "delta:mass=0.1"], "extent must"),
+            (["witness", "--a", "0.5", "--t", "inf"], "scale t must"),
+        ],
+    )
+    def test_non_finite_parameters(self, tmp_path, capsys, argv, name):
+        assert main(argv) == 2
+        assert read_json(tmp_path / "convlab-manifest.json")["exit_code"] == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err and err.count("\n") == 1
+
+
+class TestUserPaths:
+    """An OSError on a path named on the command line is bad input."""
+
+    def check(self, tmp_path, capsys, argv, path):
+        assert main(argv) == 2
+        assert read_json(tmp_path / "convlab-manifest.json")["exit_code"] == 2
+        assert capsys.readouterr().err == f"error: {path}: No such file or directory\n"
+
+    def test_verify_missing_field(self, tmp_path, capsys):
+        self.check(tmp_path, capsys, ["verify", "--coeffs", "1", "--field", "missing.cvlf"],
+                   "missing.cvlf")
+
+    def test_construct_missing_seed(self, tmp_path, capsys):
+        argv = ["construct", "--coeffs", "1", *GRID_ARGS, "--psi", "file:missing.cvlf"]
+        self.check(tmp_path, capsys, argv, "missing.cvlf")
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        out = str(tmp_path / "no" / "dir" / "x.json")
+        self.check(tmp_path, capsys, ["tq", "--coeffs", "1", "--out", out], out)
+
+
 class TestConstructVerify:
     def test_chain(self, tmp_path, capsys):
         code = main(
@@ -328,6 +394,30 @@ class TestDeterminism:
         ma["config"].pop("out"), mb["config"].pop("out")
         ma["config"].pop("report"), mb["config"].pop("report")
         assert ma == mb
+
+
+class TestThreads:
+    def test_worker_count_does_not_change_results(self, tmp_path):
+        # CONVLAB_THREADS sets the FFT worker count; artifacts must not move
+        runs = {
+            "construct": ["construct", "--coeffs", "1,1", "--dim", "3", "--extent", "16",
+                          "--points", "32", "--psi", "gaussian:sigma=0.5,mass=0.1"],
+            "bose": ["bose", "--m", "2", "--mu", "0.05", "--dim", "2", "--points", "128",
+                     "--V", "gaussian:sigma=0.5,mass=0.1"],
+        }
+        out = {}
+        for threads in ("1", "2"):
+            for name, argv in runs.items():
+                stem = f"{name}-{threads}"
+                proc = subprocess.run(
+                    [sys.executable, "-m", "convlab.cli", "--manifest", f"{stem}.m.json", *argv,
+                     "--out", f"{stem}.cvlf", "--report", f"{stem}.json"],
+                    cwd=tmp_path, capture_output=True, env=child_env(CONVLAB_THREADS=threads),
+                )
+                assert proc.returncode == 0, proc.stderr
+                out[stem] = [(tmp_path / f"{stem}{ext}").read_bytes() for ext in (".cvlf", ".json")]
+        assert out["construct-1"] == out["construct-2"]
+        assert out["bose-1"] == out["bose-2"]
 
 
 def readme_commands() -> list[list[str]]:

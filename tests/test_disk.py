@@ -5,9 +5,8 @@ import pytest
 
 from convlab import CoeffVector, build_poly, disk_scan, qprime_roots
 from convlab.disk import SCAN_RADIUS_FACTOR, _horner, _qprime_desc
-from convlab.qpoly import eval_p_exact, eval_p_prime_exact
 
-from conftest import random_coeffs
+from conftest import eval_p_exact, eval_p_prime_exact, random_coeffs
 
 
 def _pprime_desc(coeffs: CoeffVector) -> np.ndarray:

@@ -53,6 +53,9 @@ class TestGrid:
             Grid(dim=1, extent=8.0, points_per_axis=100)
         with pytest.raises(ValueError):
             Grid(dim=1, extent=8.0, points_per_axis=8)
+        for extent in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="extent must be positive and finite"):
+                Grid(dim=1, extent=extent, points_per_axis=64)
 
     def test_frequency_layout(self):
         (xi,) = G1.frequencies()

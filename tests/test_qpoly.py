@@ -6,16 +6,9 @@ import numpy as np
 import pytest
 
 from convlab import CoeffVector, InvalidCoefficients, build_poly
-from convlab.qpoly import (
-    eval_p,
-    eval_p_exact,
-    eval_p_prime,
-    eval_p_prime_exact,
-    eval_q,
-    eval_q_exact,
-    eval_q_prime,
-    eval_q_prime_exact,
-)
+from convlab.qpoly import _exact_at, eval_p, eval_p_prime, eval_q, eval_q_prime
+
+from conftest import eval_p_exact, eval_p_prime_exact, eval_q_exact, eval_q_prime_exact
 
 
 def monomial(m: int, a: int = 1) -> CoeffVector:
@@ -119,6 +112,13 @@ class TestCoeffVector:
     def test_parse_accepts_ascii_digits_only(self, text):
         with pytest.raises(InvalidCoefficients):
             CoeffVector.parse(text)
+
+    def test_float_range(self):
+        # sum n a_n must be a finite double: every float path converts n a_n
+        for a in ([10**400], [10**308], [0, 6 * 10**307], [1, 0, 5 * 10**307]):
+            with pytest.raises(InvalidCoefficients, match="float range"):
+                CoeffVector(a)
+        assert build_poly(CoeffVector([10**307])).t_q > 0.0
 
 
 class TestBuildPoly:
@@ -229,6 +229,33 @@ class TestCertificate:
                 # proved bracket, and the new one is the nearer end of it
                 lo, hi = sorted((t, other))
                 assert not lo <= old <= hi
+
+
+class TestExactAt:
+    """The one exact evaluator against the Fraction power sums."""
+
+    @staticmethod
+    def power_sum(c, t) -> Fraction:
+        t = Fraction(t)
+        return sum((ck * t**k for k, ck in enumerate(c)), Fraction(0))
+
+    def test_random_signed(self):
+        rng = np.random.default_rng(17)
+        ts = [0.0, 1.0, -0.5, 5e-324, 2.0**-1022, 1e30, 0.1, -3.75]
+        ts += [float(x) for x in rng.uniform(-2.0, 2.0, size=40)]
+        for _ in range(60):
+            c = [int(v) for v in rng.integers(-10**6, 10**6, size=int(rng.integers(1, 12)))]
+            for t in ts:
+                num, den = _exact_at(c, t)
+                assert den & (den - 1) == 0
+                assert Fraction(num, den) == self.power_sum(c, t)
+                assert num / den == float(self.power_sum(c, t))
+
+    def test_q_prime_on_certificate_set(self, certified):
+        for c, t, _ in certified:
+            qp = (1, *(-n * c[n] for n in range(2, c.degree_max + 1)))
+            for x in (t, 0.5 * t, 0.75):
+                assert Fraction(*_exact_at(qp, x)) == eval_q_prime_exact(c, Fraction(x))
 
 
 class TestEval:

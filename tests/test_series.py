@@ -9,6 +9,7 @@ from convlab import (
     CoeffVector,
     InvalidCoefficients,
     LimitSeries,
+    PolyQ,
     build_poly,
     compose_q,
     iterate_table,
@@ -17,10 +18,7 @@ from convlab import (
     mass_bound_certificate,
     reciprocal_qprime,
 )
-from convlab.qpoly import eval_p_exact
-from convlab.series import eval_row
-
-from conftest import random_coeffs
+from conftest import eval_p_exact, random_coeffs
 
 CATALAN = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786)
 
@@ -144,20 +142,23 @@ class TestMassCertificate:
             mass_bound_certificate(t, build_poly(CoeffVector([0, 1])))
 
     def test_matches_scalar_recursion(self):
-        # with no truncation the row sums are exactly the mass iterates
+        # with no truncation the row sums are exactly the mass iterates,
+        # rounded once
         rng = np.random.default_rng(42)
         for _ in range(10):
             c = random_coeffs(rng, max_degree=4)
             t = iterate_table(c, J=3, L_cap=c.n2**3)
-            q = Fraction(1, int(rng.integers(5, 30)))
-            sigma = Fraction(0)
+            q = 1.0 / int(rng.integers(5, 30))
+            sums = mass_bound_certificate(t, PolyQ(c, build_poly(c).t_q, q))
+            sigma = Fraction(q)
             for j in range(4):
-                sigma = q + eval_p_exact(c, sigma) if j else q
-                assert eval_row(t, j, q) == sigma
+                assert sums[j] == float(sigma)
+                sigma = Fraction(q) + eval_p_exact(c, sigma)
 
-    def test_eval_row_at_zero(self):
-        t = iterate_table(CoeffVector([1, 1]), J=4, L_cap=16)
-        assert eval_row(t, 3, Fraction(0)) == 0
+    def test_rows_at_zero(self):
+        c = CoeffVector([1, 1])
+        t = iterate_table(c, J=4, L_cap=16)
+        assert mass_bound_certificate(t, PolyQ(c, build_poly(c).t_q, 0.0)) == [0.0] * 5
 
 
 class TestReciprocal:

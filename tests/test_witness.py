@@ -39,6 +39,9 @@ class TestParams:
     def test_scale_positive(self):
         with pytest.raises(ValueError):
             PoissonParams(a=0.3, t=0.0, grid=G1)
+        for t in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="scale t must be positive and finite"):
+                PoissonParams(a=0.3, t=t, grid=G1)
 
     def test_decay_guard(self):
         with pytest.raises(DecayGuard):
