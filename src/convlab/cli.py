@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from contextlib import contextmanager
@@ -68,7 +69,10 @@ def _parse_field_spec(spec: str, grid: field.Grid) -> field.Field:
             key, eq, val = part.partition("=")
             if not eq:
                 raise ValueError(f"malformed field parameter {part!r} in {spec!r}")
-            params[key.strip()] = float(val)
+            key, value = key.strip(), float(val)
+            if not math.isfinite(value):
+                raise ValueError(f"field parameter {key} must be finite, got {val.strip()}")
+            params[key] = value
     mass = params.pop("mass", 1.0)
     if kind == "gaussian":
         if "sigma" not in params:
@@ -184,7 +188,7 @@ def _cmd_bose(args) -> int:
         _write_field(sol.u, args.out)
     payload = {
         "solve": sol.report.to_json(),
-        "delta": sol.delta,
+        "delta": sol.delta if math.isfinite(sol.delta) else None,  # u of mass 0
         "hypothesis_value": sol.hypothesis_value,
         "certificate": cert.to_json(),
     }
@@ -345,7 +349,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def _write_manifest(args, start: float, code: int) -> None:
     config = {
-        k: v
+        k: repr(v) if isinstance(v, float) and not math.isfinite(v) else v  # strict JSON
         for k, v in vars(args).items()
         if k not in ("handler", "manifest") and not callable(v)
     }

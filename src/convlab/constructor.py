@@ -12,6 +12,7 @@ and the solver reports failure honestly instead of loosening tolerances.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 from typing import Callable
 
 import numpy as np
@@ -73,8 +74,8 @@ def fixed_point(
     """
     if not max_iter >= 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     deltas: list[float] = []
     masses: list[float] = [integral(start)]
     monotone_ok = True

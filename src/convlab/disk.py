@@ -9,7 +9,8 @@ root set. For the other two, P' and P/z have non-negative coefficients, so
 are evaluated exactly at the double r = 0.999 t_q by qpoly's one exact
 evaluator and rounded once. The lower Lipschitz bound
 |Q(z1) - Q(z2)| >= (1 - P'(r)) |z1 - z2| then gives injectivity of Q;
-random pairs cross-check it.
+random pairs cross-check it. Every coefficient here is qpoly's layout, and
+the roots are polished and checked by qpoly's one float Horner.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from . import accel
 from .config import DEFAULT_TOLS
 from .errors import ConvergenceFailure
-from .qpoly import CoeffVector, PolyQ, _exact_at
+from .qpoly import CoeffVector, PolyQ, _exact_at, _horner, derivative
 
 SCAN_RADIUS_FACTOR = 0.999
 
@@ -46,47 +47,26 @@ class DiskReport:
         }
 
 
-def _qprime_desc(coeffs: CoeffVector) -> np.ndarray:
-    """Q' coefficients, highest degree first: -N a_N, ..., -2 a_2, 1."""
-    n2 = coeffs.n2
-    return np.array([-n * coeffs[n] for n in range(n2, 1, -1)] + [1.0])
-
-
-def _q_desc(coeffs: CoeffVector) -> np.ndarray:
-    n2 = coeffs.n2
-    return np.array([-float(coeffs[n]) for n in range(n2, 1, -1)] + [1.0, 0.0])
-
-
-def _horner(desc: np.ndarray, z: complex) -> complex:
-    acc = 0j
-    for c in desc:
-        acc = acc * z + c
-    return acc
-
-
 def qprime_roots(coeffs: CoeffVector) -> list[complex]:
     """All N2 - 1 roots of Q' via companion-matrix eigenvalues, polished by
     Newton while it improves the residual. Sorted by modulus."""
-    qp = _qprime_desc(coeffs)
-    raw = np.roots(qp)
-    # Q'' descending, for the Newton polish
-    n2 = coeffs.n2
-    qpp = np.array([-float(n * (n - 1) * coeffs[n]) for n in range(n2, 1, -1)])
+    qp = [float(c) for c in derivative(coeffs.q)]  # finite: CoeffVector bounds sum n a_n
+    qpp = derivative(qp)  # an entry beyond the float range is inf, which ends the polish
     polished = []
-    for z in raw:
+    for z in np.roots(qp[::-1]):
         z = complex(z)
         for _ in range(20):
             d = _horner(qpp, z)
             if d == 0:
                 break
             cand = z - _horner(qp, z) / d
-            if abs(_horner(qp, cand)) < abs(_horner(qp, z)):
-                z = cand
-            else:
+            if not abs(_horner(qp, cand)) < abs(_horner(qp, z)):
                 break
+            z = cand
         polished.append(z)
     # backward error: |Q'(z)| against sum |c_k| |z|^k, the size of the terms
-    worst = max(abs(_horner(qp, z)) / _horner(np.abs(qp), abs(z)).real for z in polished)
+    qp_abs = [abs(c) for c in qp]
+    worst = max(abs(_horner(qp, z)) / _horner(qp_abs, abs(z)) for z in polished)
     tol = DEFAULT_TOLS.root_residual
     if worst > tol:
         raise ConvergenceFailure(f"relative root residual {worst:.3e} above {tol}")
@@ -106,27 +86,23 @@ def disk_scan(p: PolyQ, pair_samples: int = 10_000, rng_seed: int = 0) -> DiskRe
 
     Each sup is the exact value at the radius, a double, correctly rounded,
     so a reported value below 1.0 proves the bound on the closed disk."""
+    if pair_samples < 0:
+        raise ValueError(f"pair_samples must be >= 0, got {pair_samples}")
+    if rng_seed < 0:
+        raise ValueError(f"rng_seed must be >= 0, got {rng_seed}")
     coeffs = p.coeffs
     radius = SCAN_RADIUS_FACTOR * p.t_q
-    a = coeffs.coeffs
-    num, den = _exact_at((0, *(n * an for n, an in enumerate(a, start=2))), radius)
+    num, den = _exact_at(derivative(coeffs.p), radius)
     sup_pp = num / den
-    num, den = _exact_at((0, *a), radius)  # P(r)/r = sum a_n r^(n-1)
+    num, den = _exact_at(coeffs.p[1:], radius)  # P(r)/r = sum a_n r^(n-1)
     sup_poz = num / den
 
+    # an equal pair is never counted: it would need 0 < -pair_slack
     rng = np.random.default_rng(rng_seed)
     z1 = _sample_disk(rng, pair_samples, radius)
     z2 = _sample_disk(rng, pair_samples, radius)
-    while True:
-        eq = z1 == z2
-        if not eq.any():
-            break
-        z2[eq] = _sample_disk(rng, int(eq.sum()), radius)
-
-    violations = int(
-        accel.count_lipschitz_violations(
-            _q_desc(coeffs), z1, z2, 1.0 - sup_pp, DEFAULT_TOLS.pair_slack
-        )
+    violations = accel.count_lipschitz_violations(
+        np.array(coeffs.q[::-1], dtype=float), z1, z2, 1.0 - sup_pp, DEFAULT_TOLS.pair_slack
     )
 
     roots = qprime_roots(coeffs)

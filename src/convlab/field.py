@@ -248,8 +248,8 @@ def delta_field(grid: Grid, mass: float = 1.0) -> Field:
 def gaussian_field(grid: Grid, sigma: float, mass: float = 1.0) -> Field:
     """Isotropic centered Gaussian, renormalized so the discrete integral
     is exactly the requested mass."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     r2 = np.zeros(grid.shape)
     for xa in grid.coordinate_arrays():
         r2 = r2 + xa**2

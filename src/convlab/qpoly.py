@@ -6,10 +6,13 @@ strictly increasing on (0, oo), hence that zero t_q is unique and Q attains
 its positive maximum q_max = Q(t_q) there. t_q is the sharp L1 mass bound
 for solutions of f >= sum a_n (*^n f), and q_max bounds admissible seeds.
 
-Every certified number rests on an exact polynomial value at a double: the
-signs of Q' that prove t_q here, and the disk sups P'(r), P(r)/r and the
-mass-certificate rows, each rounded once. All come from one evaluator,
-_exact_at, integer Horner on t.as_integer_ratio().
+This module is the only place that turns a_2..a_N into coefficients: P and
+Q as ascending integer tuples (CoeffVector.p, CoeffVector.q), with
+derivative() for the rest. Two evaluators read them. _horner is the float
+Horner, at real or complex x, behind eval_* and disk's roots and residuals.
+_exact_at is exact: every certified number rests on it, the signs of Q'
+that prove t_q here, and the disk sups P'(r), P(r)/r and the
+mass-certificate rows, each rounded once.
 """
 
 from __future__ import annotations
@@ -47,14 +50,19 @@ class CoeffVector:
         return len(self.coeffs) + 1
 
     @property
-    def n1(self) -> int:
-        """Smallest n with a_n > 0."""
-        return next(n for n, a in enumerate(self.coeffs, start=2) if a > 0)
-
-    @property
     def n2(self) -> int:
         """Largest n with a_n > 0."""
         return max(n for n, a in enumerate(self.coeffs, start=2) if a > 0)
+
+    @property
+    def p(self) -> tuple[int, ...]:
+        """P(t) = sum a_n t^n, ascending: (0, 0, a_2, ..., a_N)."""
+        return (0, 0, *self.coeffs)
+
+    @property
+    def q(self) -> tuple[int, ...]:
+        """Q(t) = t - P(t), ascending: (0, 1, -a_2, ..., -a_N)."""
+        return (0, 1, *(-a for a in self.coeffs))
 
     def terms(self) -> Iterator[tuple[int, int]]:
         """Yield (n, a_n) for the nonzero coefficients, ascending n."""
@@ -98,21 +106,13 @@ class PolyQ:
 
 
 def eval_p(p: PolyQ | CoeffVector, t: float) -> float:
-    """P(t) = sum a_n t^n, Horner form t^2 * (a_2 + a_3 t + ... + a_N t^(N-2))."""
-    a = _coeffs_of(p).coeffs
-    acc = 0.0
-    for an in reversed(a):
-        acc = acc * t + an
-    return acc * t * t
+    """P(t) = sum a_n t^n."""
+    return _horner(_coeffs_of(p).p, t)
 
 
 def eval_p_prime(p: PolyQ | CoeffVector, t: float) -> float:
     """P'(t) = sum n a_n t^(n-1)."""
-    a = _coeffs_of(p).coeffs
-    acc = 0.0
-    for n in range(len(a) + 1, 1, -1):
-        acc = acc * t + n * a[n - 2]
-    return acc * t
+    return _horner(derivative(_coeffs_of(p).p), t)
 
 
 def eval_q(p: PolyQ | CoeffVector, t: float) -> float:
@@ -137,9 +137,7 @@ def build_poly(coeffs: CoeffVector) -> PolyQ:
     smaller exact |Q'| is returned, lo on a tie. Q' is decreasing and
     concave on (0, oo), so when that end is hi, hi is also the nearer one.
     """
-    if not isinstance(coeffs, CoeffVector):
-        coeffs = CoeffVector(coeffs)
-    qp = (1, *(-n * a for n, a in enumerate(coeffs.coeffs, start=2)))
+    qp = derivative(coeffs.q)
     lo, hi = 0.0, 1.0
     q_lo, q_hi = _exact_at(qp, lo), _exact_at(qp, hi)
     while lo < (mid := 0.5 * (lo + hi)) < hi:
@@ -151,6 +149,21 @@ def build_poly(coeffs: CoeffVector) -> PolyQ:
     # |Q'(lo)| <= |Q'(hi)|, cross-multiplied over the two denominators
     t = lo if q_lo[0] * q_hi[1] <= -q_hi[0] * q_lo[1] else hi
     return PolyQ(coeffs=coeffs, t_q=t, q_max=eval_q(coeffs, t))
+
+
+def derivative(c: Sequence) -> tuple:
+    """Ascending coefficients of the derivative of sum_k c_k t^k. Float
+    entries beyond the float range become inf."""
+    return tuple(k * ck for k, ck in enumerate(c) if k)
+
+
+def _horner(c: Sequence, x):
+    """sum_k c_k x^k for ascending coefficients c, in float or complex
+    arithmetic as x is, rounding at every step."""
+    acc = 0.0
+    for ck in reversed(c):
+        acc = acc * x + ck
+    return acc
 
 
 def _exact_at(c: Sequence[int], t: float) -> tuple[int, int]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import math
 
 from .errors import InvalidCoefficients
-from .qpoly import CoeffVector, PolyQ, _exact_at
+from .qpoly import CoeffVector, PolyQ, _exact_at, derivative
 
 DEFAULT_J = 16
 DEFAULT_L_CAP = 64
@@ -191,9 +191,7 @@ def reciprocal_qprime(coeffs: CoeffVector, L: int) -> tuple[list[float], float]:
     """
     if L < 8:
         raise ValueError("need L >= 8 for a stable tail window")
-    pprime = [0] * coeffs.n2
-    for n, a in coeffs.terms():
-        pprime[n - 1] = n * a
+    pprime = derivative(coeffs.p)
     b = [0] * (L + 1)
     term = [0] * (L + 1)
     term[0] = 1

@@ -27,6 +27,15 @@ def read_json(path):
         return json.load(fh)
 
 
+def strict_json(text: str):
+    """json.loads refusing NaN and Infinity, which strict JSON has no word for."""
+    return json.loads(text, parse_constant=lambda c: pytest.fail(f"non-finite {c} in JSON"))
+
+
+def read_strict_json(path):
+    return strict_json(Path(path).read_text())
+
+
 class TestTq:
     def test_stdout(self, capsys):
         assert main(["tq", "--coeffs", "1"]) == 0
@@ -105,6 +114,20 @@ class TestDisk:
         coeffs = "439060,412898,230049,0,56559,0,252267,455723,20956"
         assert main(["disk", "--coeffs", coeffs, "--pairs", "100", "--out", "d.json"]) == 0
         assert read_json(tmp_path / "d.json")["certified"] is True
+
+    def test_huge_top_coefficient(self, tmp_path):
+        # n (n-1) a_n overflows a double where the guarded sum n a_n does not
+        coeffs = ",".join(["0"] * 7 + ["1" + "0" * 307])
+        assert main(["disk", "--coeffs", coeffs, "--pairs", "100", "--out", "d.json"]) in (0, 3)
+        assert len(read_strict_json(tmp_path / "d.json")["qprime_roots"]) == 8
+        assert read_strict_json(tmp_path / "convlab-manifest.json")["exit_code"] in (0, 3)
+
+    @pytest.mark.parametrize("flag,name", [("--pairs", "pair_samples"), ("--seed", "rng_seed")])
+    def test_negative_counts(self, tmp_path, capsys, flag, name):
+        assert main(["disk", "--coeffs", "1", flag, "-1", "--out", "d.json"]) == 2
+        assert capsys.readouterr().err == f"error: {name} must be >= 0, got -1\n"
+        assert read_strict_json(tmp_path / "convlab-manifest.json")["exit_code"] == 2
+        assert not (tmp_path / "d.json").exists()
 
 
 class TestInputRange:
@@ -210,6 +233,15 @@ class TestConstructVerify:
         assert main([*base, "--psi", "gaussian:sigma=0.5,mass=0.1,skew=2"]) == 2
         assert main([*base, "--psi", "gaussian:sigma"]) == 2
 
+    @pytest.mark.parametrize("param", ["sigma", "mass"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_field_specs(self, tmp_path, capsys, param, value):
+        spec = {"sigma": "0.5", "mass": "0.1", param: value}
+        psi = f"gaussian:sigma={spec['sigma']},mass={spec['mass']}"
+        assert main(["construct", "--coeffs", "1", *GRID_ARGS, "--psi", psi]) == 2
+        assert capsys.readouterr().err == f"error: field parameter {param} must be finite, got {value}\n"
+        assert read_strict_json(tmp_path / "convlab-manifest.json")["exit_code"] == 2
+
     def test_file_seed_roundtrip(self, tmp_path):
         assert main(["witness", "--a", "0.2", "--t", "1", *GRID_ARGS, "--out", "w.cvlf"]) == 0
         code = main(
@@ -296,6 +328,16 @@ class TestBose:
         assert rep["report"]["converged"] is False and rep["report"]["residual"] is None
         assert read_json(tmp_path / "convlab-manifest.json")["exit_code"] == 3
 
+    def test_zero_potential_report(self, tmp_path):
+        # u = 0 has mass 0, so delta = 1 / mass is reported as null
+        code = main(
+            ["bose", "--V", "gaussian:sigma=0.6,mass=0", *GRID_ARGS, "--report", "b.json"]
+        )
+        assert code == 0
+        rep = read_strict_json(tmp_path / "b.json")
+        assert rep["delta"] is None and rep["solve"]["converged"] is True
+        assert read_strict_json(tmp_path / "convlab-manifest.json")["exit_code"] == 0
+
     def test_smallness_guard_exit(self):
         assert main(["bose", "--V", "gaussian:sigma=0.6,mass=0.8", *GRID_ARGS]) == 2
 
@@ -316,6 +358,17 @@ class TestIterationLimits:
         assert read_json(tmp_path / "convlab-manifest.json")["exit_code"] == 2
         assert not (tmp_path / "r.json").exists()
         assert capsys.readouterr().err.startswith("error: ")
+
+
+    @pytest.mark.parametrize("sub", sorted(SUBCOMMANDS))
+    def test_infinite_tol(self, tmp_path, capsys, sub):
+        # one step would pass any increment and report "converged": true
+        code = main([*self.SUBCOMMANDS[sub], *GRID_ARGS, "--tol", "inf", "--report", "r.json"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: tol must be positive and finite, got inf\n"
+        manifest = read_strict_json(tmp_path / "convlab-manifest.json")
+        assert manifest["exit_code"] == 2 and manifest["config"]["tol"] == "inf"
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestVerify:
@@ -430,7 +483,7 @@ def readme_commands() -> list[list[str]]:
 
 
 class TestReadme:
-    def test_command_examples_run(self, tmp_path):
+    def test_command_examples_run(self, tmp_path, capsys):
         commands = readme_commands()
         assert [argv[1] for argv in commands] == [
             "tq", "series", "disk", "construct", "witness", "bose", "verify"
@@ -439,7 +492,14 @@ class TestReadme:
             assert argv[0] == "convlab"
             manifest = str(tmp_path / f"{argv[1]}-manifest.json")
             assert main(["--manifest", manifest, *argv[1:]]) == 0, argv
-            assert read_json(manifest)["exit_code"] == 0
+            assert read_strict_json(manifest)["exit_code"] == 0
+            stdout = capsys.readouterr().out
+            if stdout:
+                strict_json(stdout)
+        written = sorted(tmp_path.glob("*.json"))
+        assert len(written) == 12  # 7 manifests, 5 reports
+        for path in written:
+            read_strict_json(path)
 
 
 class TestConsoleScript:

@@ -201,6 +201,11 @@ class TestFixedPoint:
         with pytest.raises(ValueError, match="tol"):
             fixed_point(lambda f: f, self.ones(), tol, 10)
 
+    def test_infinite_tol_rejected(self):
+        # an infinite tol would stop after one step and report convergence
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            fixed_point(lambda f: f, self.ones(), math.inf, 10)
+
     def test_construct_rejects_bad_limits(self):
         with pytest.raises(ValueError):
             construct(seed(0.1), C2, P2, max_iter=0)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from convlab import CoeffVector, build_poly, disk_scan, qprime_roots
-from convlab.disk import SCAN_RADIUS_FACTOR, _horner, _qprime_desc
+from convlab.disk import SCAN_RADIUS_FACTOR
+from convlab.qpoly import _horner, derivative
 
 from conftest import eval_p_exact, eval_p_prime_exact, random_coeffs
 
@@ -57,7 +58,7 @@ class TestRoots:
         rng = np.random.default_rng(61)
         for _ in range(30):
             c = random_coeffs(rng)
-            qp = _qprime_desc(c)
+            qp = derivative(c.q)
             scale = float(sum(n * a for n, a in c.terms()))
             for z in qprime_roots(c):
                 assert abs(_horner(qp, z)) <= 1e-10 * scale
@@ -73,6 +74,15 @@ class TestRoots:
             roots = qprime_roots(c)
             assert min(abs(z) for z in roots) == pytest.approx(p.t_q, abs=1e-10)
             assert min(abs(z - p.t_q) for z in roots) <= 1e-10
+
+    def test_polish_survives_float_overflow(self):
+        # Q'' = -72e307 t^7 exceeds the float range, so the polish stops
+        # instead of raising; Q' = 1 - 9e307 t^8 still has 8 roots
+        c = CoeffVector([0] * 7 + [10**307])
+        roots = qprime_roots(c)
+        assert len(roots) == 8
+        t_q = build_poly(c).t_q
+        assert all(abs(z) == pytest.approx(t_q, rel=1e-12) for z in roots)
 
     def test_lacunary_orbit(self):
         # P' = 8t^3: the root set of Q' is a full fourth-root orbit
@@ -113,6 +123,16 @@ class TestScan:
             assert rep.sup_p_prime < 1.0
             assert rep.sup_p_over_z < 1.0
             assert rep.injectivity_violations == 0
+
+    @pytest.mark.parametrize(
+        "kwargs,name", [({"pair_samples": -5}, "pair_samples"), ({"rng_seed": -1}, "rng_seed")]
+    )
+    def test_negative_arguments(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0"):
+            disk_scan(build_poly(CoeffVector([1])), **kwargs)
+
+    def test_no_pairs(self):
+        assert disk_scan(build_poly(CoeffVector([1])), pair_samples=0).injectivity_violations == 0
 
     def test_determinism(self):
         p = build_poly(CoeffVector([2, 0, 1]))

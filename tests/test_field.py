@@ -259,6 +259,13 @@ class TestFunctionals:
         assert integral(f) == integral(Field(G2, f.values.copy()))
 
 
+class TestReferenceFields:
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.inf, math.nan])
+    def test_gaussian_sigma_positive_and_finite(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            gaussian_field(G1, sigma=sigma)
+
+
 class TestAliasingGuard:
     def test_delta_center(self):
         assert aliasing_guard(delta_field(G1), 0.1) == 0.0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from convlab import CoeffVector, InvalidCoefficients, build_poly
-from convlab.qpoly import _exact_at, eval_p, eval_p_prime, eval_q, eval_q_prime
+from convlab.qpoly import _exact_at, _horner, derivative, eval_p, eval_p_prime, eval_q, eval_q_prime
 
 from conftest import eval_p_exact, eval_p_prime_exact, eval_q_exact, eval_q_prime_exact
 
@@ -80,10 +80,19 @@ class TestCoeffVector:
     def test_markers(self):
         c = CoeffVector([0, 1, 0, 2])
         assert c.degree_max == 5
-        assert c.n1 == 3
         assert c.n2 == 5
         assert list(c.terms()) == [(3, 1), (5, 2)]
         assert c[2] == 0 and c[3] == 1 and c[5] == 2 and c[7] == 0
+
+    def test_layout(self):
+        c = CoeffVector([0, 1, 0, 2])
+        assert c.p == (0, 0, 0, 1, 0, 2)
+        assert c.q == (0, 1, 0, -1, 0, -2)
+        assert derivative(c.p) == (0, 0, 3, 0, 10)
+        assert derivative(c.q) == (1, 0, -3, 0, -10)
+        assert derivative((7,)) == ()
+        assert derivative([1e308, 1e308]) == (1e308,)
+        assert derivative([0.0, 0.0, 1e308]) == (0.0, math.inf)
 
     def test_validation(self):
         with pytest.raises(InvalidCoefficients):
@@ -256,6 +265,52 @@ class TestExactAt:
             qp = (1, *(-n * c[n] for n in range(2, c.degree_max + 1)))
             for x in (t, 0.5 * t, 0.75):
                 assert Fraction(*_exact_at(qp, x)) == eval_q_prime_exact(c, Fraction(x))
+
+
+class TestHorner:
+    """The one float evaluator against the exact one and numpy."""
+
+    def test_real_within_rounding(self):
+        rng = np.random.default_rng(19)
+        for _ in range(60):
+            c = [int(v) for v in rng.integers(-10**6, 10**6, size=int(rng.integers(1, 12)))]
+            size = [abs(ck) for ck in c]
+            for t in [0.0, 1.0, -0.5, 0.1, *rng.uniform(-2.0, 2.0, size=20)]:
+                t = float(t)
+                num, den = _exact_at(c, t)
+                # each of the len(c) steps rounds once
+                bound = 2 * len(c) * 2.0**-53 * _horner(size, abs(t))
+                assert abs(_horner(c, t) - num / den) <= bound
+
+    def test_complex_matches_polyval(self):
+        rng = np.random.default_rng(23)
+        for _ in range(60):
+            c = [float(v) for v in rng.integers(-100, 100, size=int(rng.integers(1, 12)))]
+            z = complex(*rng.uniform(-1.5, 1.5, size=2))
+            got = _horner(c, z)
+            assert isinstance(got, complex)
+            want = np.polyval(c[::-1], z)
+            assert abs(got - want) <= 1e-12 * _horner([abs(ck) for ck in c], abs(z))
+
+    def test_eval_bit_identical_to_direct_horner(self, certified):
+        # direct Horner on a_2..a_N, then the factor t^2 or t: the oracle
+        # that reading the ascending layout changes no bit
+        def old_p(a, t):
+            acc = 0.0
+            for an in reversed(a):
+                acc = acc * t + an
+            return acc * t * t
+
+        def old_p_prime(a, t):
+            acc = 0.0
+            for n in range(len(a) + 1, 1, -1):
+                acc = acc * t + n * a[n - 2]
+            return acc * t
+
+        for c, t, _ in certified:
+            for x in (0.0, 0.1, t, 0.75, -0.3):
+                assert eval_p(c, x).hex() == old_p(c.coeffs, x).hex()
+                assert eval_p_prime(c, x).hex() == old_p_prime(c.coeffs, x).hex()
 
 
 class TestEval:
