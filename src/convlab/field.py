@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -65,23 +66,17 @@ class Grid:
 
     def coordinate_arrays(self) -> tuple[np.ndarray, ...]:
         """Per-axis coordinates shaped for broadcasting over the grid."""
-        x = self.axis_coords()
-        out = []
-        for a in range(self.dim):
-            shape = [1] * self.dim
-            shape[a] = self.points_per_axis
-            out.append(x.reshape(shape))
-        return tuple(out)
+        return self._along_each_axis(self.axis_coords())
 
     def frequencies(self) -> tuple[np.ndarray, ...]:
         """Per-axis discrete frequencies (cycles per length), broadcastable."""
-        xi = np.fft.fftfreq(self.points_per_axis, d=self.h)
-        out = []
-        for a in range(self.dim):
-            shape = [1] * self.dim
-            shape[a] = self.points_per_axis
-            out.append(xi.reshape(shape))
-        return tuple(out)
+        return self._along_each_axis(np.fft.fftfreq(self.points_per_axis, d=self.h))
+
+    def _along_each_axis(self, v: np.ndarray) -> tuple[np.ndarray, ...]:
+        """One view of the 1-d v per axis, shaped M along that axis and 1
+        along the others."""
+        d = self.dim
+        return tuple(v.reshape((1,) * a + (-1,) + (1,) * (d - 1 - a)) for a in range(d))
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,16 +182,14 @@ def conv_power(f: Field, n: int) -> Field:
 
 
 def apply_p(f: Field, coeffs: CoeffVector) -> Field:
-    """sum_n a_n (*^n f), accumulated in the spectral domain (Horner in
-    the mass symbol), one transform pair total."""
+    """sum_n a_n (*^n f), accumulated in the spectral domain (Horner over
+    CoeffVector.p in the mass symbol), one transform pair total."""
     t = _mass_symbol(f)
     acc = np.zeros_like(t)
-    for a_n in reversed(coeffs.coeffs):
+    for ck in reversed(coeffs.p):
         acc *= t
-        if a_n:
-            acc += a_n
-    acc *= t
-    acc *= t
+        if ck:
+            acc += ck
     return _field_from_symbol(f.grid, acc)
 
 
@@ -247,13 +240,17 @@ def delta_field(grid: Grid, mass: float = 1.0) -> Field:
 
 def gaussian_field(grid: Grid, sigma: float, mass: float = 1.0) -> Field:
     """Isotropic centered Gaussian, renormalized so the discrete integral
-    is exactly the requested mass."""
+    is exactly the requested mass. A sigma whose 2 sigma^2 is below the
+    smallest normal double is refused."""
     if not 0 < sigma < math.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    two_var = 2.0 * sigma * sigma
+    if two_var < sys.float_info.min:
+        raise ValueError(f"sigma {sigma} is too small: 2 sigma^2 underflows a normal double")
     r2 = np.zeros(grid.shape)
     for xa in grid.coordinate_arrays():
         r2 = r2 + xa**2
-    v = np.exp(-r2 / (2.0 * sigma * sigma))
+    v = np.exp(-r2 / two_var)
     got = grid.cell_volume * math.fsum(v.ravel())
     return Field(grid, v * (mass / got))
 

@@ -8,17 +8,20 @@ for solutions of f >= sum a_n (*^n f), and q_max bounds admissible seeds.
 
 This module is the only place that turns a_2..a_N into coefficients: P and
 Q as ascending integer tuples (CoeffVector.p, CoeffVector.q), with
-derivative() for the rest. Two evaluators read them. _horner is the float
-Horner, at real or complex x, behind eval_* and disk's roots and residuals.
-_exact_at is exact: every certified number rests on it, the signs of Q'
-that prove t_q here, and the disk sups P'(r), P(r)/r and the
-mass-certificate rows, each rounded once.
+derivative() for the rest. Other modules apply P through this layout,
+never by degree: field.apply_p by Horner over P on mass symbols,
+series.reciprocal_qprime through P', and series' power loop over a_2..a_N
+on truncated power series. Two evaluators read the layout here. _horner
+is the float Horner, at real or complex x, behind eval_* and disk's roots
+and residuals. _exact_at is exact: every certified number rests on it,
+the signs of Q' that prove t_q here, and the disk sups P'(r), P(r)/r and
+the mass-certificate rows, each rounded once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import InvalidCoefficients
 
@@ -46,10 +49,6 @@ class CoeffVector:
             raise InvalidCoefficients("sum n a_n exceeds the float range") from None
 
     @property
-    def degree_max(self) -> int:
-        return len(self.coeffs) + 1
-
-    @property
     def n2(self) -> int:
         """Largest n with a_n > 0."""
         return max(n for n, a in enumerate(self.coeffs, start=2) if a > 0)
@@ -63,18 +62,6 @@ class CoeffVector:
     def q(self) -> tuple[int, ...]:
         """Q(t) = t - P(t), ascending: (0, 1, -a_2, ..., -a_N)."""
         return (0, 1, *(-a for a in self.coeffs))
-
-    def terms(self) -> Iterator[tuple[int, int]]:
-        """Yield (n, a_n) for the nonzero coefficients, ascending n."""
-        for n, a in enumerate(self.coeffs, start=2):
-            if a > 0:
-                yield n, a
-
-    def __getitem__(self, n: int) -> int:
-        """Coefficient a_n by polynomial degree (0 outside 2..N)."""
-        if 2 <= n <= self.degree_max:
-            return self.coeffs[n - 2]
-        return 0
 
     @classmethod
     def parse(cls, text: str) -> "CoeffVector":

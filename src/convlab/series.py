@@ -18,7 +18,6 @@ import math
 from .errors import InvalidCoefficients
 from .qpoly import CoeffVector, PolyQ, _exact_at, derivative
 
-DEFAULT_J = 16
 DEFAULT_L_CAP = 64
 
 
@@ -96,9 +95,8 @@ def _apply_p_poly(coeffs: CoeffVector, poly: list[int], cap: int) -> list[int]:
     """sum_n a_n * poly^n, truncated at degree cap."""
     out = [0] * (cap + 1)
     power = list(poly) + [0] * (cap + 1 - len(poly))
-    for n in range(2, coeffs.degree_max + 1):
+    for a_n in coeffs.coeffs:
         power = _trunc_mul(power, poly, cap)
-        a_n = coeffs[n]
         if a_n:
             for i, v in enumerate(power):
                 if v:
@@ -183,7 +181,9 @@ def reciprocal_qprime(coeffs: CoeffVector, L: int) -> tuple[list[float], float]:
     """Coefficients b_nu of 1/Q' = 1 + sum_n (P')^n up to degree L, plus a
     root-test estimate of the radius of convergence.
 
-    All b_nu are non-negative integers, which is the reason the smallest
+    b = 1/(1 - P') solves b = 1 + P' b, and P' has no constant term, so
+    b_0 = 1 and b_nu = sum_{k=1..nu} p'_k b_{nu-k}. All b_nu are
+    non-negative integers, which is the reason the smallest
     singularity of 1/Q' sits on the positive axis at t_q. The radius comes
     from max b_nu^(1/nu) over the last quarter of the coefficients; the
     root test tolerates the zero gaps of lacunary cases where a ratio test
@@ -192,14 +192,9 @@ def reciprocal_qprime(coeffs: CoeffVector, L: int) -> tuple[list[float], float]:
     if L < 8:
         raise ValueError("need L >= 8 for a stable tail window")
     pprime = derivative(coeffs.p)
-    b = [0] * (L + 1)
-    term = [0] * (L + 1)
-    term[0] = 1
-    while any(term):
-        for i, v in enumerate(term):
-            if v:
-                b[i] += v
-        term = _trunc_mul(term, pprime, L)
+    b = [1]
+    for nu in range(1, L + 1):
+        b.append(sum(pk * b[nu - k] for k, pk in enumerate(pprime[1 : nu + 1], start=1)))
     window = range(L - L // 4 + 1, L + 1)
     tail = [(nu, b[nu]) for nu in window if b[nu] > 0]
     if not tail:

@@ -25,8 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constructor import verify_inequality
 from .errors import DecayGuard
-from .field import Field, Grid, _field_from_symbol, _k_squared, convolve, integral, min_value
+from .field import Field, Grid, _field_from_symbol, _k_squared
+from .qpoly import CoeffVector
 
 MIN_RESOLUTION = 8.0  # t M / L, the scale t in grid spacings
 
@@ -66,6 +68,5 @@ def poisson_field(params: PoissonParams) -> Field:
 
 
 def check_two_fold(f: Field) -> tuple[float, float]:
-    """(min slack of f - f*f, mass of f)."""
-    slack = min_value(f - convolve(f, f))
-    return slack, integral(f)
+    """(min slack of f - f*f, mass of f): verify_inequality at a_2 = 1."""
+    return verify_inequality(f, CoeffVector([1]))

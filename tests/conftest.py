@@ -1,3 +1,4 @@
+import itertools
 import os
 from fractions import Fraction
 from pathlib import Path
@@ -25,12 +26,12 @@ def child_env(**overrides: str) -> dict[str, str]:
 
 def eval_p_exact(coeffs: CoeffVector, t: Fraction) -> Fraction:
     t = Fraction(t)
-    return sum((Fraction(a) * t**n for n, a in coeffs.terms()), Fraction(0))
+    return sum((Fraction(a) * t**n for n, a in enumerate(coeffs.p) if a), Fraction(0))
 
 
 def eval_p_prime_exact(coeffs: CoeffVector, t: Fraction) -> Fraction:
     t = Fraction(t)
-    return sum((Fraction(n * a) * t ** (n - 1) for n, a in coeffs.terms()), Fraction(0))
+    return sum((Fraction(n * a) * t ** (n - 1) for n, a in enumerate(coeffs.p) if a), Fraction(0))
 
 
 def eval_q_exact(coeffs: CoeffVector, t: Fraction) -> Fraction:
@@ -39,6 +40,25 @@ def eval_q_exact(coeffs: CoeffVector, t: Fraction) -> Fraction:
 
 def eval_q_prime_exact(coeffs: CoeffVector, t: Fraction) -> Fraction:
     return 1 - eval_p_prime_exact(coeffs, t)
+
+
+def certificate_vectors() -> list[CoeffVector]:
+    """Every vector of degree <= 6 with a_n <= 3 (1359), then 300 seeded
+    random ones of degree <= 10 with a_n up to 10^6, about 40% zeros."""
+    vecs = [
+        CoeffVector(v)
+        for length in range(1, 6)
+        for v in itertools.product(range(4), repeat=length)
+        if any(v)
+    ]
+    rng = np.random.default_rng(13)
+    for _ in range(300):
+        n = int(rng.integers(2, 11))
+        a = rng.integers(0, 10**6 + 1, size=n - 1) * (rng.random(n - 1) < 0.6)
+        if not a.any():
+            a[-1] = int(rng.integers(1, 10**6 + 1))
+        vecs.append(CoeffVector([int(v) for v in a]))
+    return vecs
 
 
 def random_coeffs(rng: np.random.Generator, max_degree: int = 6, max_a: int = 3) -> CoeffVector:

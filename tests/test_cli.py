@@ -3,6 +3,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -240,6 +241,20 @@ class TestConstructVerify:
         psi = f"gaussian:sigma={spec['sigma']},mass={spec['mass']}"
         assert main(["construct", "--coeffs", "1", *GRID_ARGS, "--psi", psi]) == 2
         assert capsys.readouterr().err == f"error: field parameter {param} must be finite, got {value}\n"
+        assert read_strict_json(tmp_path / "convlab-manifest.json")["exit_code"] == 2
+
+    @pytest.mark.parametrize(
+        "grid, sigma",
+        [(["--dim", "1", "--extent", "1e-300", "--points", "256"], "1e-302"), ([], "1e-160")],
+    )
+    def test_underflowing_sigma(self, tmp_path, capsys, grid, sigma):
+        psi = f"gaussian:sigma={sigma},mass=0.1"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["construct", "--coeffs", "1", *grid, "--psi", psi]) == 2
+        assert caught == []
+        want = f"error: sigma {sigma} is too small: 2 sigma^2 underflows a normal double\n"
+        assert capsys.readouterr().err == want
         assert read_strict_json(tmp_path / "convlab-manifest.json")["exit_code"] == 2
 
     def test_file_seed_roundtrip(self, tmp_path):

@@ -11,14 +11,13 @@ from conftest import eval_p_exact, eval_p_prime_exact, random_coeffs
 
 
 def _pprime_desc(coeffs: CoeffVector) -> np.ndarray:
-    n2 = coeffs.n2
-    return np.array([float(n * coeffs[n]) for n in range(n2, 1, -1)] + [0.0])
+    """P' from degree N2 - 1 down to 0, for np.polyval."""
+    return np.array([float(n * a) for n, a in enumerate(coeffs.p)][coeffs.n2 : 1 : -1] + [0.0])
 
 
 def _p_over_z_desc(coeffs: CoeffVector) -> np.ndarray:
     """P(z)/z is itself a polynomial (P vanishes at 0 to second order)."""
-    n2 = coeffs.n2
-    return np.array([float(coeffs[n]) for n in range(n2, 1, -1)] + [0.0])
+    return np.array([float(a) for a in coeffs.p][coeffs.n2 : 1 : -1] + [0.0])
 
 
 def sup_abs_on_circle(desc: np.ndarray, radius: float, angular_steps: int) -> float:
@@ -59,7 +58,7 @@ class TestRoots:
         for _ in range(30):
             c = random_coeffs(rng)
             qp = derivative(c.q)
-            scale = float(sum(n * a for n, a in c.terms()))
+            scale = float(sum(n * a for n, a in enumerate(c.p)))
             for z in qprime_roots(c):
                 assert abs(_horner(qp, z)) <= 1e-10 * scale
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -27,7 +28,7 @@ from convlab import (
     write_csv,
     write_cvlf,
 )
-from convlab.field import _k_squared
+from convlab.field import _field_from_symbol, _k_squared, _mass_symbol
 
 from conftest import random_smooth_field
 
@@ -209,7 +210,31 @@ class TestConvPower:
             conv_power(uniform_field(G1), 0)
 
 
+def apply_p_by_coeffs(f: Field, coeffs: CoeffVector) -> Field:
+    """The earlier apply_p, kept as an oracle: Horner over a_N..a_2, then
+    the t^2 factor as two trailing products."""
+    t = _mass_symbol(f)
+    acc = np.zeros_like(t)
+    for a_n in reversed(coeffs.coeffs):
+        acc *= t
+        if a_n:
+            acc += a_n
+    acc *= t
+    acc *= t
+    return _field_from_symbol(f.grid, acc)
+
+
 class TestApplyP:
+    @pytest.mark.parametrize("grid", [G1, G2, Grid(dim=3, extent=6.0, points_per_axis=16)])
+    def test_matches_old_loop(self, grid):
+        rng = np.random.default_rng(81)
+        g = random_smooth_field(grid, rng)
+        for f in (gaussian_field(grid, sigma=0.5, mass=0.2), (0.3 / l1_norm(g)) * g):
+            for a in itertools.product(range(3), repeat=3):
+                if any(a):
+                    c = CoeffVector(a)
+                    assert apply_p(f, c).values.tobytes() == apply_p_by_coeffs(f, c).values.tobytes()
+
     def test_zero_field(self):
         z = Field(G1, np.zeros(G1.shape))
         out = apply_p(z, CoeffVector([1, 1]))
@@ -263,6 +288,13 @@ class TestReferenceFields:
     @pytest.mark.parametrize("sigma", [0.0, -1.0, math.inf, math.nan])
     def test_gaussian_sigma_positive_and_finite(self, sigma):
         with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            gaussian_field(G1, sigma=sigma)
+
+    @pytest.mark.parametrize("sigma", [1.05e-154, 1e-160, 1e-302, 5e-324])
+    def test_gaussian_sigma_underflow(self, sigma):
+        # 2 sigma^2 below the smallest normal double would divide by zero
+        # or overflow; the threshold is sigma ~ 1.0547e-154
+        with pytest.raises(ValueError, match=f"sigma {sigma} is too small"):
             gaussian_field(G1, sigma=sigma)
 
 

@@ -18,7 +18,9 @@ from convlab import (
     mass_bound_certificate,
     reciprocal_qprime,
 )
-from conftest import eval_p_exact, random_coeffs
+from convlab.qpoly import derivative
+from convlab.series import _trunc_mul
+from conftest import certificate_vectors, eval_p_exact, random_coeffs
 
 CATALAN = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786)
 
@@ -161,7 +163,42 @@ class TestMassCertificate:
         assert mass_bound_certificate(t, PolyQ(c, build_poly(c).t_q, 0.0)) == [0.0] * 5
 
 
+def reciprocal_by_powers(coeffs: CoeffVector, L: int) -> tuple[list[int], float]:
+    """The earlier reciprocal_qprime, kept as an oracle: 1/Q' summed as the
+    geometric series sum_n (P')^n, one truncated product per power, with
+    the radius from the same root-test window."""
+    pprime = derivative(coeffs.p)
+    b = [0] * (L + 1)
+    term = [0] * (L + 1)
+    term[0] = 1
+    while any(term):
+        for i, v in enumerate(term):
+            if v:
+                b[i] += v
+        term = _trunc_mul(term, pprime, L)
+    window = range(L - L // 4 + 1, L + 1)
+    tail = [(nu, b[nu]) for nu in window if b[nu] > 0]
+    if not tail:
+        tail = [(nu, b[nu]) for nu in range(1, L + 1) if b[nu] > 0]
+    limsup = max(math.exp(math.log(bv) / nu) for nu, bv in tail)
+    return b, 1.0 / limsup
+
+
 class TestReciprocal:
+    def test_recurrence_matches_power_sum(self):
+        # Python compares an int with a float exactly, so where b_nu is
+        # below 2^53 this checks the integer itself
+        exact = 0
+        for c in certificate_vectors():
+            want, radius = reciprocal_by_powers(c, 16)
+            got, got_radius = reciprocal_qprime(c, 16)
+            assert got == [float(v) for v in want]
+            assert got_radius == radius
+            if max(want) < 2**53:
+                assert got == want
+                exact += 1
+        assert exact >= 1000
+
     def test_two_fold_geometric(self):
         b, radius = reciprocal_qprime(CoeffVector([1]), L=24)
         assert b[0] == 1.0

@@ -11,6 +11,7 @@ from convlab import (
     PoissonParams,
     build_poly,
     check_two_fold,
+    convolve,
     integral,
     l1_norm,
     min_value,
@@ -142,6 +143,18 @@ class TestTwoFold:
         f = poisson_field(PoissonParams(a=0.45, t=1.0, grid=G1))
         c = CoeffVector([1])
         assert uniqueness_roundtrip(f, c, build_poly(c)) <= 1e-5
+
+
+class TestTwoFoldOracle:
+    @pytest.mark.parametrize("grid", [G1, G2, Grid(dim=3, extent=4.0, points_per_axis=32)])
+    def test_matches_direct_convolution(self, grid):
+        # check_two_fold once took min(f - f*f) itself; it must agree to the bit
+        for a in (0.1, 0.3, 0.5):
+            for t in (1.0, 2.0):
+                f = poisson_field(PoissonParams(a=a, t=t, grid=grid))
+                for g in (f, 1.2 * f):
+                    want = (min_value(g - convolve(g, g)), integral(g))
+                    assert [v.hex() for v in check_two_fold(g)] == [v.hex() for v in want]
 
 
 class TestTwoDim:
