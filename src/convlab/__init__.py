@@ -15,6 +15,7 @@ from .errors import (
     DecayGuard,
     GridMismatch,
     InvalidCoefficients,
+    InvalidInput,
     InvalidOrder,
     MassTooLarge,
     NotConverged,
@@ -74,6 +75,7 @@ from .bose import solve as bose_solve
 __all__ = [
     "__version__",
     "ConvlabError",
+    "InvalidInput",
     "InvalidCoefficients",
     "GridMismatch",
     "InvalidOrder",

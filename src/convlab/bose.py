@@ -22,13 +22,11 @@ from math import inf
 
 import numpy as np
 
+from .config import DEFAULT_TOLS
 from .constructor import DEFAULT_MAX_ITER, DEFAULT_TOL, SolveReport, fixed_point
-from .errors import CeilingViolated
+from .errors import CeilingViolated, InvalidInput
 from .field import Field, Grid, conv_power, integral, l1_norm, min_value
 from .field import _field_from_symbol, _fresh, _k_squared, _mass_symbol
-
-CEILING_SLACK = 1e-10
-CERT_SLACK = 1e-8
 
 
 @dataclass(frozen=True)
@@ -41,15 +39,15 @@ class BoseProblem:
 
     def __post_init__(self):
         if self.m < 1:
-            raise ValueError(f"resolvent order m must be >= 1, got {self.m}")
+            raise InvalidInput(f"resolvent order m must be >= 1, got {self.m}")
         if not 0 < self.xi < inf:
-            raise ValueError(f"spectral shift xi must be positive and finite, got {self.xi}")
+            raise InvalidInput(f"spectral shift xi must be positive and finite, got {self.xi}")
         if not 0 <= self.mu < inf:
-            raise ValueError(f"coupling mu must be non-negative and finite, got {self.mu}")
+            raise InvalidInput(f"coupling mu must be non-negative and finite, got {self.mu}")
         if self.V.grid != self.grid:
-            raise ValueError("potential sampled on a different grid")
+            raise InvalidInput("potential sampled on a different grid")
         if min_value(self.V) < 0:
-            raise ValueError("potential must be non-negative")
+            raise InvalidInput("potential must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -85,9 +83,9 @@ def resolvent_apply(f: Field, xi: float, m: int = 1) -> Field:
     """(xi - Laplacian)^(-m) f via the spectral multiplier; preserves
     non-negativity and divides the mass by xi^m, both to roundoff."""
     if not xi > 0:
-        raise ValueError("xi must be positive")
+        raise InvalidInput("xi must be positive")
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise InvalidInput("m must be >= 1")
     return _field_from_symbol(f.grid, _mass_symbol(f) * _resolvent_symbol(f.grid, xi, m))
 
 
@@ -107,7 +105,7 @@ def solve(
     """
     mass_v = integral(problem.V)
     if not mass_v / problem.xi**problem.m < 0.5:
-        raise ValueError(
+        raise InvalidInput(
             f"integral(V)/xi^m = {mass_v / problem.xi ** problem.m:.3g} >= 0.5; "
             "outside the guarded smallness regime"
         )
@@ -131,7 +129,7 @@ def solve(
     )
     if not report.converged:
         raise report.not_converged(solution=solution)
-    if u.values.max() > 1.0 + CEILING_SLACK:
+    if u.values.max() > 1.0 + DEFAULT_TOLS.ceiling_slack:
         raise CeilingViolated(
             f"max(u) = {u.values.max():.6g} exceeds 1; certificate hypotheses fail",
             solution=solution,
@@ -144,8 +142,8 @@ def apriori_certificate(sol: BoseSolution) -> CertificateReport:
 
     Applicable only when the hypothesis mu^(1/m) integral(u) / xi < 1
     holds; then f = mu^(1/m) R[u] must dominate its own (m+1)-fold
-    convolution power and u must be non-negative, both at 1e-8 of the
-    respective L1 norms. When the hypothesis fails no claim is made and
+    convolution power and u must be non-negative, both to Tolerances.cert_slack
+    of the respective L1 norms. When the hypothesis fails no claim is made and
     the certificate passes vacuously as not-applicable.
     """
     problem = sol.problem
@@ -153,9 +151,9 @@ def apriori_certificate(sol: BoseSolution) -> CertificateReport:
     f = mu_root * resolvent_apply(sol.u, problem.xi, 1)
     hypothesis_ok = sol.hypothesis_value < 1.0
     slack = min_value(f - conv_power(f, problem.m + 1))
-    proof_ok = slack >= -CERT_SLACK * l1_norm(f)
+    proof_ok = slack >= -DEFAULT_TOLS.cert_slack * l1_norm(f)
     min_u = min_value(sol.u)
-    nonneg_ok = min_u >= -CERT_SLACK * l1_norm(sol.u)
+    nonneg_ok = min_u >= -DEFAULT_TOLS.cert_slack * l1_norm(sol.u)
     applicable = hypothesis_ok
     passed = (proof_ok and nonneg_ok) if applicable else True
     return CertificateReport(

@@ -5,9 +5,9 @@ table and inverse series), disk (complex-disk certificates), construct
 (fixed-point builder), witness (Poisson family), bose (resolvent solver),
 verify (inequality check on a stored field). Every run writes a manifest
 JSON with the resolved configuration, package version and wall time; all
-artifacts are written atomically. Exit codes: 0 success, 2 invalid input
-(including a path that cannot be read or written), 3 convergence or
-certificate failure (diagnostics still written).
+artifacts are written atomically. Exit codes: 0 success, 1 internal error
+(manifest written, traceback raised), 2 invalid input, including a path that
+cannot be read or written, 3 convergence or certificate failure.
 """
 
 from __future__ import annotations
@@ -22,7 +22,9 @@ from contextlib import contextmanager
 from . import __version__
 from . import bose as bose_mod
 from . import constructor, disk, field, series, witness
-from .errors import CeilingViolated, ConvergenceFailure, ConvlabError, GridMismatch, NotConverged
+from .config import DEFAULT_TOLS
+from .errors import CeilingViolated, ConvergenceFailure, ConvlabError, GridMismatch
+from .errors import InvalidInput, NotConverged
 from .ioutil import atomic_write_text
 from .qpoly import CoeffVector, build_poly
 
@@ -33,7 +35,7 @@ def _user_path(path: str):
     try:
         yield
     except OSError as exc:
-        raise ValueError(f"{path}: {exc.strerror or exc}") from exc
+        raise InvalidInput(f"{path}: {exc.strerror or exc}") from exc
 
 
 def _emit(payload: dict, path: str | None) -> None:
@@ -68,25 +70,28 @@ def _parse_field_spec(spec: str, grid: field.Grid) -> field.Field:
         for part in rest.split(","):
             key, eq, val = part.partition("=")
             if not eq:
-                raise ValueError(f"malformed field parameter {part!r} in {spec!r}")
-            key, value = key.strip(), float(val)
+                raise InvalidInput(f"malformed field parameter {part!r} in {spec!r}")
+            try:
+                key, value = key.strip(), float(val)
+            except ValueError:
+                raise InvalidInput(f"field parameter {part!r} is not a number") from None
             if not math.isfinite(value):
-                raise ValueError(f"field parameter {key} must be finite, got {val.strip()}")
+                raise InvalidInput(f"field parameter {key} must be finite, got {val.strip()}")
             params[key] = value
     mass = params.pop("mass", 1.0)
     if kind == "gaussian":
         if "sigma" not in params:
-            raise ValueError("gaussian spec needs sigma=")
+            raise InvalidInput("gaussian spec needs sigma=")
         sigma = params.pop("sigma")
     if params:
-        raise ValueError(f"unknown field parameters {sorted(params)} in {spec!r}")
+        raise InvalidInput(f"unknown field parameters {sorted(params)} in {spec!r}")
     if kind == "gaussian":
         return field.gaussian_field(grid, sigma=sigma, mass=mass)
     if kind == "delta":
         return field.delta_field(grid, mass=mass)
     if kind == "uniform":
         return field.uniform_field(grid, mass=mass)
-    raise ValueError(f"unknown field kind {kind!r}")
+    raise InvalidInput(f"unknown field kind {kind!r}")
 
 
 def _write_field(f: field.Field, path: str) -> None:
@@ -201,9 +206,8 @@ def _cmd_verify(args) -> int:
     p = build_poly(coeffs)
     f = _read_field(args.field)
     slack, mass = constructor.verify_inequality(f, coeffs)
-    scale = field.l1_norm(f)
-    slack_ok = slack >= -1e-10 * max(1.0, scale)
-    mass_ok = mass <= p.t_q + 1e-9
+    slack_ok = slack >= -DEFAULT_TOLS.verify_slack * max(1.0, field.l1_norm(f))
+    mass_ok = mass <= p.t_q + DEFAULT_TOLS.verify_mass_slack
     payload = {
         "min_slack": slack,
         "mass": mass,
@@ -335,15 +339,14 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
 
     start = time.perf_counter()
+    code = 1  # recorded if the handler raises something not the package's own
     try:
         code = args.handler(args)
-    except (NotConverged, CeilingViolated, ConvergenceFailure) as exc:
+    except ConvlabError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        code = 3
-    except (ConvlabError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        code = 2
-    _write_manifest(args, start, code)
+        code = 3 if isinstance(exc, (NotConverged, CeilingViolated, ConvergenceFailure)) else 2
+    finally:
+        _write_manifest(args, start, code)
     return code
 
 

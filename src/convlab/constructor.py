@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .errors import MassTooLarge, NotConverged
+from .errors import InvalidInput, MassTooLarge, NotConverged
 from .field import Field, apply_p, integral, l1_norm, min_value
 from .qpoly import CoeffVector, PolyQ
 
@@ -73,9 +73,9 @@ def fixed_point(
     and last the final finite iterate.
     """
     if not max_iter >= 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+        raise InvalidInput(f"max_iter must be >= 1, got {max_iter}")
     if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+        raise InvalidInput(f"tol must be positive and finite, got {tol}")
     deltas: list[float] = []
     masses: list[float] = [integral(start)]
     monotone_ok = True
@@ -117,7 +117,7 @@ def fixed_point(
 def _clamped_seed(psi: Field) -> Field:
     floor = min_value(psi)
     if floor < -DEFAULT_TOLS.negative_clamp:
-        raise ValueError(
+        raise InvalidInput(
             f"seed minimum {floor:.3e} below the -{DEFAULT_TOLS.negative_clamp} clamp threshold"
         )
     if floor < 0.0:
@@ -141,7 +141,7 @@ def construct(
     """
     psi = _clamped_seed(psi)
     seed_mass = l1_norm(psi)
-    if seed_mass > p.q_max * (1.0 + 1e-9):
+    if seed_mass > p.q_max * (1.0 + DEFAULT_TOLS.seed_mass_slack):
         raise MassTooLarge(
             f"seed mass {seed_mass:.12g} exceeds Q(t_q) = {p.q_max:.12g}"
         )
@@ -173,9 +173,9 @@ def uniqueness_roundtrip(
     """
     slack, mass = verify_inequality(f, coeffs)
     if slack < -tol:
-        raise ValueError(f"field violates the inequality (slack {slack:.3e} < -{tol})")
+        raise InvalidInput(f"field violates the inequality (slack {slack:.3e} < -{tol})")
     if mass < 0:
-        raise ValueError("field has negative mass")
+        raise InvalidInput("field has negative mass")
     psi = f - apply_p(f, coeffs)
     psi = Field(psi.grid, np.maximum(psi.values, 0.0))
     rebuilt, _ = construct(psi, coeffs, p, tol=tol)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import accel
 from .config import DEFAULT_TOLS
-from .errors import ConvergenceFailure
+from .errors import ConvergenceFailure, InvalidInput
 from .qpoly import CoeffVector, PolyQ, _exact_at, _horner, derivative
 
 SCAN_RADIUS_FACTOR = 0.999
@@ -87,9 +87,9 @@ def disk_scan(p: PolyQ, pair_samples: int = 10_000, rng_seed: int = 0) -> DiskRe
     Each sup is the exact value at the radius, a double, correctly rounded,
     so a reported value below 1.0 proves the bound on the closed disk."""
     if pair_samples < 0:
-        raise ValueError(f"pair_samples must be >= 0, got {pair_samples}")
+        raise InvalidInput(f"pair_samples must be >= 0, got {pair_samples}")
     if rng_seed < 0:
-        raise ValueError(f"rng_seed must be >= 0, got {rng_seed}")
+        raise InvalidInput(f"rng_seed must be >= 0, got {rng_seed}")
     coeffs = p.coeffs
     radius = SCAN_RADIUS_FACTOR * p.t_q
     num, den = _exact_at(derivative(coeffs.p), radius)

@@ -5,6 +5,10 @@ class ConvlabError(Exception):
     """Base class for all package-specific errors."""
 
 
+class InvalidInput(ConvlabError, ValueError):
+    """Input refused where it enters the package; a ValueError too."""
+
+
 class InvalidCoefficients(ConvlabError):
     """Coefficient vector violates its invariants (empty, negative, or all zero)."""
 

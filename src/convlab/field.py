@@ -25,7 +25,7 @@ import numpy as np
 from scipy import fft as _sfft
 
 from .config import fft_workers
-from .errors import GridMismatch, InvalidOrder
+from .errors import GridMismatch, InvalidInput, InvalidOrder
 from .qpoly import CoeffVector
 
 CVLF_MAGIC = b"CVLF"
@@ -41,12 +41,14 @@ class Grid:
 
     def __post_init__(self):
         if self.dim not in (1, 2, 3):
-            raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
+            raise InvalidInput(f"dim must be 1, 2 or 3, got {self.dim}")
         if not 0 < self.extent < math.inf:
-            raise ValueError(f"extent must be positive and finite, got {self.extent}")
+            raise InvalidInput(f"extent must be positive and finite, got {self.extent}")
         m = self.points_per_axis
         if m < 16 or (m & (m - 1)) != 0:
-            raise ValueError(f"points_per_axis must be a power of two >= 16, got {m}")
+            raise InvalidInput(f"points_per_axis must be a power of two >= 16, got {m}")
+        if 16 * m**self.dim > np.iinfo(np.intp).max:  # bytes of the complex transform
+            raise InvalidInput(f"points_per_axis {m} is too large for dim {self.dim}")
 
     @property
     def h(self) -> float:
@@ -87,9 +89,9 @@ class Field:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
         if v.shape != self.grid.shape:
-            raise ValueError(f"values shape {v.shape} does not match grid {self.grid.shape}")
+            raise InvalidInput(f"values shape {v.shape} does not match grid {self.grid.shape}")
         if not np.isfinite(v).all():
-            raise ValueError("field values must be finite")
+            raise InvalidInput("field values must be finite")
         if v is self.values and v.flags.writeable:
             v = v.copy()
         v.flags.writeable = False
@@ -216,7 +218,7 @@ def aliasing_guard(f: Field, shell_fraction: float) -> float:
     """Fraction of the L1 mass sitting within shell_fraction * L of the
     box boundary; > 1e-6 suggests wrap-around contamination."""
     if not 0.0 < shell_fraction < 0.5:
-        raise ValueError("shell_fraction must be in (0, 0.5)")
+        raise InvalidInput("shell_fraction must be in (0, 0.5)")
     g = f.grid
     cut = 0.5 * g.extent - shell_fraction * g.extent
     in_shell = np.zeros(g.shape, dtype=bool)
@@ -243,14 +245,15 @@ def gaussian_field(grid: Grid, sigma: float, mass: float = 1.0) -> Field:
     is exactly the requested mass. A sigma whose 2 sigma^2 is below the
     smallest normal double is refused."""
     if not 0 < sigma < math.inf:
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+        raise InvalidInput(f"sigma must be positive and finite, got {sigma}")
     two_var = 2.0 * sigma * sigma
     if two_var < sys.float_info.min:
-        raise ValueError(f"sigma {sigma} is too small: 2 sigma^2 underflows a normal double")
+        raise InvalidInput(f"sigma {sigma} is too small: 2 sigma^2 underflows a normal double")
     r2 = np.zeros(grid.shape)
     for xa in grid.coordinate_arrays():
         r2 = r2 + xa**2
-    v = np.exp(-r2 / two_var)
+    with np.errstate(over="ignore"):  # r2 / two_var beyond the float range: exp gives 0
+        v = np.exp(-r2 / two_var)
     got = grid.cell_volume * math.fsum(v.ravel())
     return Field(grid, v * (mass / got))
 
@@ -270,16 +273,16 @@ def field_to_bytes(f: Field) -> bytes:
 
 def field_from_bytes(data: bytes) -> Field:
     if len(data) < _HEADER.size:
-        raise ValueError(f"CVLF payload of {len(data)} bytes is shorter than its header")
+        raise InvalidInput(f"CVLF payload of {len(data)} bytes is shorter than its header")
     magic, version, dim, m, extent = _HEADER.unpack_from(data, 0)
     if magic != CVLF_MAGIC:
-        raise ValueError("not a CVLF payload")
+        raise InvalidInput("not a CVLF payload")
     if version != CVLF_VERSION:
-        raise ValueError(f"unsupported CVLF version {version}")
+        raise InvalidInput(f"unsupported CVLF version {version}")
     grid = Grid(dim=dim, extent=extent, points_per_axis=m)
     count = m**dim
     if len(data) != _HEADER.size + 8 * count:
-        raise ValueError(
+        raise InvalidInput(
             f"CVLF payload has {len(data) - _HEADER.size} value bytes, header says {8 * count}"
         )
     vals = np.frombuffer(data, dtype="<f8", count=count, offset=_HEADER.size)
@@ -300,7 +303,7 @@ def read_cvlf(path: str) -> Field:
 def write_csv(f: Field, path: str) -> None:
     """Two-column x,value dump; 1-d only."""
     if f.grid.dim != 1:
-        raise ValueError("CSV export is for 1-d fields")
+        raise InvalidInput("CSV export is for 1-d fields")
     from .ioutil import atomic_write_text
 
     lines = ["x,value"]

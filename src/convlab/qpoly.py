@@ -9,13 +9,13 @@ for solutions of f >= sum a_n (*^n f), and q_max bounds admissible seeds.
 This module is the only place that turns a_2..a_N into coefficients: P and
 Q as ascending integer tuples (CoeffVector.p, CoeffVector.q), with
 derivative() for the rest. Other modules apply P through this layout,
-never by degree: field.apply_p by Horner over P on mass symbols,
-series.reciprocal_qprime through P', and series' power loop over a_2..a_N
-on truncated power series. Two evaluators read the layout here. _horner
-is the float Horner, at real or complex x, behind eval_* and disk's roots
-and residuals. _exact_at is exact: every certified number rests on it,
-the signs of Q' that prove t_q here, and the disk sups P'(r), P(r)/r and
-the mass-certificate rows, each rounded once.
+never by degree: field.apply_p by Horner over P on mass symbols, series
+by Horner over P on truncated power series and reciprocal_qprime through
+P'. Two evaluators read the layout here. _horner is the float Horner, at
+real or complex x, behind eval_* and disk's roots and residuals. _exact_at
+is exact: every certified number rests on it, the signs of Q' that prove
+t_q here, and the disk sups P'(r), P(r)/r and the mass-certificate rows,
+each rounded once.
 """
 
 from __future__ import annotations
@@ -69,20 +69,13 @@ class CoeffVector:
         stripped, must be ASCII digits only: no sign, underscore or empty
         entry."""
         parts = [p.strip() for p in text.split(",")]
+        if not all(p.isascii() and p.isdigit() for p in parts):
+            raise InvalidCoefficients(f"cannot parse coefficients {text!r}")
         try:
-            if not all(p.isascii() and p.isdigit() for p in parts):
-                raise ValueError("not digits")
-            values = [int(p) for p in parts]  # may exceed int()'s digit limit
-        except ValueError as exc:
+            values = [int(p) for p in parts]
+        except ValueError as exc:  # beyond int()'s digit limit
             raise InvalidCoefficients(f"cannot parse coefficients {text!r}") from exc
         return cls(values)
-
-    def to_json(self) -> dict:
-        return {"a": list(self.coeffs)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CoeffVector":
-        return cls(obj["a"])
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import math
 
-from .errors import InvalidCoefficients
+from .errors import InvalidCoefficients, InvalidInput
 from .qpoly import CoeffVector, PolyQ, _exact_at, derivative
 
 DEFAULT_L_CAP = 64
@@ -52,11 +52,6 @@ class CoeffTable:
             "rows": [[str(v) for v in row] for row in self.rows],
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "CoeffTable":
-        rows = tuple(tuple(int(v) for v in row) for row in obj["rows"])
-        return cls(CoeffVector(obj["a"]), rows, bool(obj["cap_too_small"]))
-
 
 @dataclass(frozen=True)
 class LimitSeries:
@@ -69,13 +64,6 @@ class LimitSeries:
         if not 1 <= l <= len(self.c):
             raise IndexError(f"c_l computed for 1 <= l <= {len(self.c)}")
         return self.c[l - 1]
-
-    def to_json(self) -> dict:
-        return {"a": list(self.coeffs.coeffs), "c": [str(v) for v in self.c]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "LimitSeries":
-        return cls(CoeffVector(obj["a"]), tuple(int(v) for v in obj["c"]))
 
 
 def _trunc_mul(a: list[int], b: list[int], cap: int) -> list[int]:
@@ -92,16 +80,13 @@ def _trunc_mul(a: list[int], b: list[int], cap: int) -> list[int]:
 
 
 def _apply_p_poly(coeffs: CoeffVector, poly: list[int], cap: int) -> list[int]:
-    """sum_n a_n * poly^n, truncated at degree cap."""
-    out = [0] * (cap + 1)
-    power = list(poly) + [0] * (cap + 1 - len(poly))
-    for a_n in coeffs.coeffs:
-        power = _trunc_mul(power, poly, cap)
-        if a_n:
-            for i, v in enumerate(power):
-                if v:
-                    out[i] += a_n * v
-    return out
+    """sum_n a_n * poly^n, truncated at degree cap: Horner over
+    CoeffVector.p with truncated products."""
+    acc = [0] * (cap + 1)
+    for ck in reversed(coeffs.p):
+        acc = _trunc_mul(acc, poly, cap)
+        acc[0] += ck
+    return acc
 
 
 def iterate_table(coeffs: CoeffVector, J: int, L_cap: int) -> CoeffTable:
@@ -112,7 +97,7 @@ def iterate_table(coeffs: CoeffVector, J: int, L_cap: int) -> CoeffTable:
     with l > L_cap are dropped once N2^J exceeds the cap.
     """
     if J < 0 or L_cap < 1:
-        raise ValueError("need J >= 0 and L_cap >= 1")
+        raise InvalidInput("need J >= 0 and L_cap >= 1")
     row = [0] * (L_cap + 1)
     row[1] = 1
     rows = [row]
@@ -132,7 +117,7 @@ def limit_series(coeffs: CoeffVector, L: int) -> LimitSeries:
     """Diagonal m_{l,l} for l = 1..L; stable because rows freeze below the
     running index (m_{j,l} = m_{j+1,l} once j >= l)."""
     if L < 1:
-        raise ValueError("need L >= 1")
+        raise InvalidInput("need L >= 1")
     table = iterate_table(coeffs, J=L, L_cap=L)
     return LimitSeries(coeffs=coeffs, c=table.diagonal())
 
@@ -145,7 +130,7 @@ def lagrange_inverse(coeffs: CoeffVector, L: int) -> LimitSeries:
     because P vanishes to second order. Integrality is automatic.
     """
     if L < 1:
-        raise ValueError("need L >= 1")
+        raise InvalidInput("need L >= 1")
     c = [0] * (L + 1)
     c[1] = 1
     for l in range(2, L + 1):
@@ -183,14 +168,14 @@ def reciprocal_qprime(coeffs: CoeffVector, L: int) -> tuple[list[float], float]:
 
     b = 1/(1 - P') solves b = 1 + P' b, and P' has no constant term, so
     b_0 = 1 and b_nu = sum_{k=1..nu} p'_k b_{nu-k}. All b_nu are
-    non-negative integers, which is the reason the smallest
-    singularity of 1/Q' sits on the positive axis at t_q. The radius comes
-    from max b_nu^(1/nu) over the last quarter of the coefficients; the
-    root test tolerates the zero gaps of lacunary cases where a ratio test
-    would not.
+    non-negative integers, returned as floats (inf beyond the float range),
+    which is the reason the smallest singularity of 1/Q' sits on the
+    positive axis at t_q. The radius comes from the integers, as max
+    b_nu^(1/nu) over the last quarter of the coefficients; the root test
+    tolerates the zero gaps of lacunary cases where a ratio test would not.
     """
     if L < 8:
-        raise ValueError("need L >= 8 for a stable tail window")
+        raise InvalidInput("need L >= 8 for a stable tail window")
     pprime = derivative(coeffs.p)
     b = [1]
     for nu in range(1, L + 1):
@@ -200,4 +185,11 @@ def reciprocal_qprime(coeffs: CoeffVector, L: int) -> tuple[list[float], float]:
     if not tail:
         tail = [(nu, b[nu]) for nu in range(1, L + 1) if b[nu] > 0]
     limsup = max(math.exp(math.log(bv) / nu) for nu, bv in tail)
-    return [float(v) for v in b], 1.0 / limsup
+    return [_float_or_inf(v) for v in b], 1.0 / limsup
+
+
+def _float_or_inf(v: int) -> float:
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf

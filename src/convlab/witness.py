@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constructor import verify_inequality
-from .errors import DecayGuard
+from .errors import DecayGuard, InvalidInput
 from .field import Field, Grid, _field_from_symbol, _k_squared
 from .qpoly import CoeffVector
 
@@ -41,9 +41,9 @@ class PoissonParams:
 
     def __post_init__(self):
         if not 0.0 < self.a <= 0.5:
-            raise ValueError(f"amplitude a must be in (0, 0.5], got {self.a}")
+            raise InvalidInput(f"amplitude a must be in (0, 0.5], got {self.a}")
         if not 0.0 < self.t < np.inf:
-            raise ValueError(f"scale t must be positive and finite, got {self.t}")
+            raise InvalidInput(f"scale t must be positive and finite, got {self.t}")
 
 
 def poisson_field(params: PoissonParams) -> Field:

@@ -147,6 +147,20 @@ class TestInputRange:
         assert read_json(tmp_path / "convlab-manifest.json")["exit_code"] == 2
         assert capsys.readouterr().err == "error: sum n a_n exceeds the float range\n"
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--psi", "gaussian:sigma=abc,mass=0.1"], "field parameter 'sigma=abc' is not a number"),
+            (["--dim", "3", "--points", "4194304", "--psi", "delta:mass=0.1"],
+             "points_per_axis 4194304 is too large for dim 3"),
+        ],
+        ids=["spec-not-a-number", "grid-beyond-address-space"],
+    )
+    def test_refused_with_package_message(self, tmp_path, capsys, argv, message):
+        assert main(["construct", "--coeffs", "1", *argv]) == 2
+        assert read_strict_json(tmp_path / "convlab-manifest.json")["exit_code"] == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_largest_coefficients_still_run(self, tmp_path):
         assert main(["disk", "--coeffs", "1" + "0" * 307, "--pairs", "100"]) == 0
 
@@ -430,8 +444,9 @@ class TestExitCodes:
             (errors.InvalidOrder, 2),
             (errors.MassTooLarge, 2),
             (errors.DecayGuard, 2),
+            (errors.InvalidInput, 2),
             (errors.ConvlabError, 2),
-            (ValueError, 2),
+            (ValueError, 1),
         ],
     )
     def test_error_class_to_exit_code(self, tmp_path, monkeypatch, capsys, exc, code):
@@ -439,9 +454,14 @@ class TestExitCodes:
             raise exc("boom")
 
         monkeypatch.setattr(cli, "_cmd_tq", handler)
-        assert main(["tq", "--coeffs", "1"]) == code
+        if code == 1:  # not the package's own: an internal error, raised with its traceback
+            with pytest.raises(exc, match="boom"):
+                main(["tq", "--coeffs", "1"])
+            assert capsys.readouterr().err == ""
+        else:
+            assert main(["tq", "--coeffs", "1"]) == code
+            assert capsys.readouterr().err == "error: boom\n"
         assert read_json(tmp_path / "convlab-manifest.json")["exit_code"] == code
-        assert capsys.readouterr().err == "error: boom\n"
 
 
 class TestDeterminism:

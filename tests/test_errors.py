@@ -1,0 +1,67 @@
+"""The package's error policy: input is refused with the package's own
+exception classes, never a builtin one, so that the command line can tell
+bad input (exit 2) from an internal error (exit 1) by type alone."""
+
+import ast
+import builtins
+from pathlib import Path
+
+import pytest
+
+import convlab
+from convlab import ConvlabError, InvalidInput
+
+SRC = Path(convlab.__file__).resolve().parent
+
+# Indexing past the stored entries raises IndexError, as a sequence does.
+ALLOWED = {
+    ("series.py", "m", "IndexError"),
+    ("series.py", "__getitem__", "IndexError"),
+}
+
+
+def builtin_raises(source: str, filename: str) -> set[tuple[str, str, str]]:
+    """(file, enclosing function, class) of every raise of a builtin
+    exception class in source; a bare re-raise names no class."""
+    found = set()
+
+    def visit(node: ast.AST, where: str) -> None:
+        if isinstance(node, ast.FunctionDef):
+            where = node.name
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            cls = getattr(builtins, exc.id, None) if isinstance(exc, ast.Name) else None
+            if isinstance(cls, type) and issubclass(cls, BaseException):
+                found.add((filename, where, exc.id))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source, filename=filename), "<module>")
+    return found
+
+
+def test_invalid_input_is_a_package_error_and_a_value_error():
+    assert issubclass(InvalidInput, ConvlabError)
+    assert issubclass(InvalidInput, ValueError)
+
+
+@pytest.mark.parametrize(
+    "source,want",
+    [
+        ("def f(x):\n    if x:\n        raise ValueError('x')\n", {("m.py", "f", "ValueError")}),
+        ("raise OverflowError\n", {("m.py", "<module>", "OverflowError")}),
+        ("def f():\n    try:\n        g()\n    except OSError:\n        raise\n", set()),
+        ("def f(exc):\n    raise InvalidInput('x') from exc\n", set()),
+        ("def f(report):\n    raise report.not_converged()\n", set()),
+    ],
+    ids=["call", "bare-class", "re-raise", "package-class", "expression"],
+)
+def test_checker(source, want):
+    assert builtin_raises(source, "m.py") == want
+
+
+def test_no_builtin_raise_in_package():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found |= builtin_raises(path.read_text(), path.name)
+    assert found == ALLOWED

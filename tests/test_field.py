@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from convlab import (
     Field,
     Grid,
     GridMismatch,
+    InvalidInput,
     InvalidOrder,
     aliasing_guard,
     apply_p,
@@ -57,6 +59,17 @@ class TestGrid:
         for extent in (np.inf, np.nan):
             with pytest.raises(ValueError, match="extent must be positive and finite"):
                 Grid(dim=1, extent=extent, points_per_axis=64)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_transform_beyond_address_space(self, dim):
+        # the smallest M whose 16 M^d-byte complex transform no index can
+        # address is refused; M / 2 is accepted, since a Grid allocates nothing
+        m = 16
+        while 16 * m**dim <= np.iinfo(np.intp).max:
+            m *= 2
+        with pytest.raises(InvalidInput, match=f"points_per_axis {m} is too large for dim {dim}"):
+            Grid(dim=dim, extent=8.0, points_per_axis=m)
+        assert Grid(dim=dim, extent=8.0, points_per_axis=m // 2).shape == (m // 2,) * dim
 
     def test_frequency_layout(self):
         (xi,) = G1.frequencies()
@@ -296,6 +309,14 @@ class TestReferenceFields:
         # or overflow; the threshold is sigma ~ 1.0547e-154
         with pytest.raises(ValueError, match=f"sigma {sigma} is too small"):
             gaussian_field(G1, sigma=sigma)
+
+    def test_gaussian_sigma_near_floor_is_silent(self):
+        # r2 / 2 sigma^2 overflows to inf away from the origin, where exp
+        # gives 0: the field is the delta of the same mass, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = gaussian_field(G1, sigma=1.1e-154, mass=0.1)
+        assert f.values.tobytes() == delta_field(G1, mass=0.1).values.tobytes()
 
 
 class TestAliasingGuard:

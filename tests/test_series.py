@@ -1,14 +1,14 @@
+import json
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from convlab import (
-    CoeffTable,
     CoeffVector,
     InvalidCoefficients,
-    LimitSeries,
     PolyQ,
     build_poly,
     compose_q,
@@ -19,13 +19,34 @@ from convlab import (
     reciprocal_qprime,
 )
 from convlab.qpoly import derivative
-from convlab.series import _trunc_mul
+from convlab.series import _apply_p_poly, _trunc_mul
 from conftest import certificate_vectors, eval_p_exact, random_coeffs
 
 CATALAN = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786)
 
 
+def apply_p_by_powers(coeffs: CoeffVector, poly: list[int], cap: int) -> list[int]:
+    """The earlier _apply_p_poly, kept as an oracle: sum_n a_n poly^n with
+    one truncated product per power, accumulated a_n by a_n."""
+    out = [0] * (cap + 1)
+    power = list(poly) + [0] * (cap + 1 - len(poly))
+    for a_n in coeffs.coeffs:
+        power = _trunc_mul(power, poly, cap)
+        if a_n:
+            for i, v in enumerate(power):
+                if v:
+                    out[i] += a_n * v
+    return out
+
+
 class TestIterateTable:
+    def test_horner_matches_power_loop(self):
+        # the rows iterate_table feeds it, and a poly with a constant term
+        for c in certificate_vectors():
+            polys = [list(r) for r in iterate_table(c, J=3, L_cap=12).rows] + [[2, 1, 0, 3]]
+            for poly in polys:
+                assert _apply_p_poly(c, poly, 12) == apply_p_by_powers(c, poly, 12)
+
     def test_first_rows_two_fold(self):
         t = iterate_table(CoeffVector([1]), J=2, L_cap=8)
         assert t.rows[0] == (1, 0, 0, 0, 0, 0, 0, 0)
@@ -220,6 +241,19 @@ class TestReciprocal:
             _, radius = reciprocal_qprime(c, L=64)
             assert radius == pytest.approx(p.t_q, rel=0.02)
 
+    def test_entries_beyond_float_range(self):
+        # t_q = 6.1e-7, so b_64 is about 1e397
+        c = CoeffVector([817704, 0, 408733, 881644])
+        b, radius = reciprocal_qprime(c, 64)
+        want, want_radius = reciprocal_by_powers(c, 64)
+        assert radius == want_radius
+        assert b[-1] == math.inf and b[1] < math.inf
+        for got, v in zip(b, want):
+            if got == math.inf:
+                assert v > sys.float_info.max
+            else:
+                assert got == float(v)
+
     def test_short_window_rejected(self):
         with pytest.raises(ValueError):
             reciprocal_qprime(CoeffVector([1]), L=7)
@@ -230,13 +264,7 @@ class TestJson:
         c = CoeffVector([1])
         t = iterate_table(c, J=40, L_cap=40)
         assert max(t.diagonal()) > 2**63
-        obj = t.to_json()
+        obj = json.loads(json.dumps(t.to_json()))
         assert isinstance(obj["rows"][-1][-1], str)
-        back = CoeffTable.from_json(obj)
-        assert back == t
-
-    def test_series_roundtrip(self):
-        s = limit_series(CoeffVector([1]), L=40)
-        back = LimitSeries.from_json(s.to_json())
-        assert back == s
-        assert back.c[-1] > 2**63
+        assert tuple(tuple(int(v) for v in row) for row in obj["rows"]) == t.rows
+        assert (obj["a"], obj["cap"], obj["cap_too_small"]) == ([1], 40, t.cap_too_small)
