@@ -103,10 +103,18 @@ def solve(
     the solver can only observe it, and raises CeilingViolated when it
     fails.
     """
-    mass_v = integral(problem.V)
-    if not mass_v / problem.xi**problem.m < 0.5:
+    try:
+        xi_m = problem.xi**problem.m
+    except OverflowError:
+        xi_m = inf
+    if not 0.0 < xi_m < inf:
         raise InvalidInput(
-            f"integral(V)/xi^m = {mass_v / problem.xi ** problem.m:.3g} >= 0.5; "
+            f"xi^m is outside the float range for xi = {problem.xi}, m = {problem.m}"
+        )
+    mass_v = integral(problem.V)
+    if not mass_v / xi_m < 0.5:
+        raise InvalidInput(
+            f"integral(V)/xi^m = {mass_v / xi_m:.3g} >= 0.5; "
             "outside the guarded smallness regime"
         )
     grid, m, mu = problem.grid, problem.m, problem.mu

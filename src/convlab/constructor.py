@@ -1,12 +1,41 @@
-"""Fixed-point construction of solutions of f >= sum_n a_n (*^n f).
+"""Construction of solutions of f >= sum_n a_n (*^n f) as the fixed point
+Psi = psi + P(Psi) of the seed psi.
 
-Iterates Psi_{j+1} = psi + sum_n a_n (*^n Psi_j) from Psi_0 = psi. For
-seeds with 0 <= psi and integral(psi) <= q_max the iterates increase
-pointwise and their masses follow the scalar recursion
-sigma_{j+1} = integral(psi) + sum a_n sigma_j^n, which converges to the
-smaller fixed point <= t_q; that is the whole content of the mass bound.
-Near the critical seed mass q_max the contraction factor degrades to 1
-and the solver reports failure honestly instead of loosening tolerances.
+construct runs the Picard iteration Psi_{j+1} = psi + sum a_n (*^n Psi_j)
+from Psi_0 = psi on mass symbols, where *^n is the n-th power: at every
+frequency it is the scalar recursion w <- s + P(w) from w = s, s the
+symbol of psi with its zero-frequency value set to integral(psi). That is
+the paper's Psi_hat = C(psi_hat), taken to finitely many steps: one
+forward transform before the loop, the inverse transforms after it, and
+no allocation inside it. For seeds with 0 <= psi and integral(psi) <=
+q_max the iterates increase pointwise and their masses converge to the
+smaller fixed point <= t_q of sigma = integral(psi) + P(sigma); that is
+the whole content of the mass bound. Near the critical seed mass q_max
+the contraction factor degrades to 1 and the solver reports failure
+honestly instead of loosening tolerances.
+
+construct's report:
+- masses are the zero-frequency values, the first being integral(psi):
+  exactly the float scalar recursion sigma <- integral(psi) + P(sigma),
+  Horner over CoeffVector.p. final_mass is integral(f).
+- l1_deltas are the zero-frequency increments; the run stops at the first
+  one below tol. They are the L1 increments whenever the increments are
+  non-negative.
+- monotone_ok checks the output in real space, where the intermediate
+  iterates never exist: min(Psi_J - Psi_{J-1}) and min(f - psi) are both
+  >= -monotone_slack. Given it, the last increment's L1 norm is within
+  2 monotone_slack L^d of l1_deltas[-1], to roundoff.
+- residual is l1_norm(f - (psi + apply_p(f))) in real space, the check of
+  the fixed point that shares no step with the loop.
+- residual is None exactly when the run overflowed: in a step, which
+  leaves the last finite iterate and overwrites its predecessor (so
+  monotone_ok checks f - psi alone), or while f, the residual or
+  integral(f) was formed (f is None if it could not be, and monotone_ok
+  False). final_mass is then the last zero-frequency value.
+
+fixed_point is the general loop, iterating a field-space step; bose
+runs on it, and the tests keep construct's field-space form on it as an
+oracle.
 """
 
 from __future__ import annotations
@@ -20,6 +49,7 @@ import numpy as np
 from .config import DEFAULT_TOLS
 from .errors import InvalidInput, MassTooLarge, NotConverged
 from .field import Field, apply_p, integral, l1_norm, min_value
+from .field import _field_from_symbol, _mass_symbol, _p_of_symbol
 from .qpoly import CoeffVector, PolyQ
 
 DEFAULT_TOL = 1e-10
@@ -59,6 +89,13 @@ class SolveReport:
         return NotConverged(f"{why} after {self.iterations} iterations", report=self, **attached)
 
 
+def _require_limits(tol: float, max_iter: int) -> None:
+    if not max_iter >= 1:
+        raise InvalidInput(f"max_iter must be >= 1, got {max_iter}")
+    if not 0 < tol < math.inf:
+        raise InvalidInput(f"tol must be positive and finite, got {tol}")
+
+
 def fixed_point(
     step: Callable[[Field], Field], start: Field, tol: float, max_iter: int
 ) -> tuple[Field, SolveReport]:
@@ -72,10 +109,7 @@ def fixed_point(
     A step that overflows ends the run unconverged, with residual None
     and last the final finite iterate.
     """
-    if not max_iter >= 1:
-        raise InvalidInput(f"max_iter must be >= 1, got {max_iter}")
-    if not 0 < tol < math.inf:
-        raise InvalidInput(f"tol must be positive and finite, got {tol}")
+    _require_limits(tol, max_iter)
     deltas: list[float] = []
     masses: list[float] = [integral(start)]
     monotone_ok = True
@@ -114,6 +148,38 @@ def fixed_point(
     return current, report
 
 
+def _iterate_symbol(
+    s: np.ndarray, coeffs: CoeffVector, tol: float, max_iter: int
+) -> tuple[np.ndarray, np.ndarray | None, list[float], list[float]]:
+    """Run w <- s + P(w) from w = s at every frequency until the
+    zero-frequency increment drops below tol or max_iter steps have run.
+
+    Returns the last iterate, the one before it, the zero-frequency
+    increments and the zero-frequency values. A step that overflows ends
+    the run: the last iterate is then the final finite one and the one
+    before it None, its buffer having held the overflowed step.
+    """
+    origin = (0,) * s.ndim
+    masses = [float(s[origin].real)]
+    deltas: list[float] = []
+    # Two buffers, swapped each step: the step is written into the older one.
+    w, acc = s.copy(), np.empty_like(s)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for _ in range(max_iter):
+                _p_of_symbol(w, coeffs, out=acc)
+                acc += s
+                w, acc = acc, w
+                mass = float(w[origin].real)
+                deltas.append(mass - masses[-1])
+                masses.append(mass)
+                if deltas[-1] < tol:
+                    break
+    except FloatingPointError:
+        return w, None, deltas, masses
+    return w, acc, deltas, masses
+
+
 def _clamped_seed(psi: Field) -> Field:
     floor = min_value(psi)
     if floor < -DEFAULT_TOLS.negative_clamp:
@@ -132,12 +198,14 @@ def construct(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple[Field, SolveReport]:
-    """Iterate to the L1 fixed point; stop when the L1 increment drops
-    below tol.
+    """Iterate Psi <- psi + P(Psi) on mass symbols to the fixed point; stop
+    when the zero-frequency increment drops below tol. The report follows
+    the contract in the module docstring.
 
     Raises MassTooLarge when the seed mass exceeds q_max (the iteration
-    can diverge beyond it) and NotConverged when max_iter runs out, with
-    the last iterate and its report attached to the exception.
+    can diverge beyond it) and NotConverged when max_iter runs out or a
+    step overflows, with the last iterate and its report attached to the
+    exception.
     """
     psi = _clamped_seed(psi)
     seed_mass = l1_norm(psi)
@@ -145,10 +213,40 @@ def construct(
         raise MassTooLarge(
             f"seed mass {seed_mass:.12g} exceeds Q(t_q) = {p.q_max:.12g}"
         )
-    current, report = fixed_point(lambda f: psi + apply_p(f, coeffs), psi, tol, max_iter)
+    _require_limits(tol, max_iter)
+    grid = psi.grid
+    s = _mass_symbol(psi)
+    s[(0,) * grid.dim] = integral(psi)
+    w, prev, deltas, masses = _iterate_symbol(s, coeffs, tol, max_iter)
+    # Each symbol is released as soon as it is no longer read, so the inverse
+    # transforms below hold no more complex arrays than the loop did.
+    del s
+    f, floor, final_mass, residual = None, -math.inf, masses[-1], None
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            f = _field_from_symbol(grid, w)
+            del w
+            floor = min_value(f - psi)
+            if prev is not None:
+                floor = min(floor, min_value(f - _field_from_symbol(grid, prev)))
+                del prev
+                res = l1_norm(f - (psi + apply_p(f, coeffs)))
+                final_mass, residual = integral(f), res
+    except (FloatingPointError, OverflowError):
+        pass  # past the float range in real space: reported as an overflow
+    report = SolveReport(
+        iterations=len(deltas),
+        l1_deltas=tuple(deltas),
+        masses=tuple(masses),
+        final_mass=final_mass,
+        residual=residual,
+        monotone_ok=floor >= -DEFAULT_TOLS.monotone_slack,
+        converged=residual is not None and deltas[-1] < tol,
+        tol=tol,
+    )
     if not report.converged:
-        raise report.not_converged(field=current)
-    return current, report
+        raise report.not_converged(field=f)
+    return f, report
 
 
 def verify_inequality(f: Field, coeffs: CoeffVector) -> tuple[float, float]:

@@ -49,6 +49,15 @@ class Grid:
             raise InvalidInput(f"points_per_axis must be a power of two >= 16, got {m}")
         if 16 * m**self.dim > np.iinfo(np.intp).max:  # bytes of the complex transform
             raise InvalidInput(f"points_per_axis {m} is too large for dim {self.dim}")
+        try:
+            volume = self.extent**self.dim
+        except OverflowError:
+            volume = math.inf
+        if not (volume < math.inf and self.cell_volume > 0.0):
+            raise InvalidInput(
+                f"extent {self.extent} in dim {self.dim}: the box volume L^d or the "
+                "cell volume h^d is outside the float range"
+            )
 
     @property
     def h(self) -> float:
@@ -183,16 +192,22 @@ def conv_power(f: Field, n: int) -> Field:
     return _field_from_symbol(f.grid, _mass_symbol(f) ** n)
 
 
+def _p_of_symbol(t: np.ndarray, coeffs: CoeffVector, out: np.ndarray) -> np.ndarray:
+    """out <- P(t) at every frequency, Horner over CoeffVector.p in place;
+    out must be a buffer of t's shape other than t."""
+    out.fill(0)
+    for ck in reversed(coeffs.p):
+        out *= t
+        if ck:
+            out += ck
+    return out
+
+
 def apply_p(f: Field, coeffs: CoeffVector) -> Field:
     """sum_n a_n (*^n f), accumulated in the spectral domain (Horner over
     CoeffVector.p in the mass symbol), one transform pair total."""
     t = _mass_symbol(f)
-    acc = np.zeros_like(t)
-    for ck in reversed(coeffs.p):
-        acc *= t
-        if ck:
-            acc += ck
-    return _field_from_symbol(f.grid, acc)
+    return _field_from_symbol(f.grid, _p_of_symbol(t, coeffs, np.empty_like(t)))
 
 
 def integral(f: Field) -> float:

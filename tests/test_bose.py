@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from convlab import (
     CeilingViolated,
     Field,
     Grid,
+    InvalidInput,
     NotConverged,
     apriori_certificate,
     bose_solve,
@@ -162,6 +164,12 @@ class TestSolve:
             bose_solve(problem(v_mass=0.6))
         with pytest.raises(ValueError):
             bose_solve(problem(v_mass=0.3, xi=0.7, m=2))  # 0.3 / 0.49 >= 0.5
+
+    @pytest.mark.parametrize("xi", [1e300, 1e-200])
+    def test_smallness_guard_power_beyond_float_range(self, xi):
+        # xi^m overflows (a Python float power raises) or underflows to 0
+        with pytest.raises(InvalidInput, match=re.escape(f"xi = {xi}, m = 2")):
+            bose_solve(problem(xi=xi, m=2))
 
     def test_linear_case_dense_oracle(self):
         prob = problem(v_mass=0.3)

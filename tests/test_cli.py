@@ -153,8 +153,15 @@ class TestInputRange:
             (["--psi", "gaussian:sigma=abc,mass=0.1"], "field parameter 'sigma=abc' is not a number"),
             (["--dim", "3", "--points", "4194304", "--psi", "delta:mass=0.1"],
              "points_per_axis 4194304 is too large for dim 3"),
+            (["--dim", "3", "--extent", "1e-120", "--points", "16", "--psi", "uniform:mass=0.1"],
+             "extent 1e-120 in dim 3: the box volume L^d or the cell volume h^d "
+             "is outside the float range"),
+            (["--dim", "2", "--extent", "1e200", "--psi", "uniform:mass=0.1"],
+             "extent 1e+200 in dim 2: the box volume L^d or the cell volume h^d "
+             "is outside the float range"),
         ],
-        ids=["spec-not-a-number", "grid-beyond-address-space"],
+        ids=["spec-not-a-number", "grid-beyond-address-space", "cell-volume-underflows",
+             "box-volume-overflows"],
     )
     def test_refused_with_package_message(self, tmp_path, capsys, argv, message):
         assert main(["construct", "--coeffs", "1", *argv]) == 2
@@ -369,6 +376,14 @@ class TestBose:
 
     def test_smallness_guard_exit(self):
         assert main(["bose", "--V", "gaussian:sigma=0.6,mass=0.8", *GRID_ARGS]) == 2
+
+    def test_xi_power_beyond_float_range(self, tmp_path, capsys):
+        argv = ["bose", "--V", "gaussian:sigma=0.5,mass=0.1", "--xi", "1e300", "--m", "2"]
+        assert main([*argv, *GRID_ARGS]) == 2
+        assert read_strict_json(tmp_path / "convlab-manifest.json")["exit_code"] == 2
+        assert capsys.readouterr().err == (
+            "error: xi^m is outside the float range for xi = 1e+300, m = 2\n"
+        )
 
 
 class TestIterationLimits:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,9 @@ from convlab import (
     uniqueness_roundtrip,
     verify_inequality,
 )
-from convlab.constructor import fixed_point
+from convlab import field as field_mod
+from convlab.config import DEFAULT_TOLS
+from convlab.constructor import DEFAULT_MAX_ITER, _iterate_symbol, fixed_point
 from convlab.qpoly import eval_p
 
 from conftest import random_coeffs
@@ -129,6 +132,115 @@ class TestConstruct:
                     combo = combo + float(mv) * conv_power(psi, l)
             scale = np.abs(combo.values).max() + 1.0
             assert linf_diff(iterate, combo) <= 1e-9 * scale
+
+
+def field_space_construct(psi, c, tol, max_iter):
+    """construct's iteration written in field space, on fixed_point:
+    a forward and an inverse transform per step."""
+    return fixed_point(lambda f: psi + apply_p(f, c), psi, tol, max_iter)
+
+
+def scalar_masses(q, c, count):
+    """sigma_0 = q, sigma_{j+1} = q + P(sigma_j) in floats, Horner over c.p."""
+    sigmas = [q]
+    for _ in range(count - 1):
+        acc = 0.0
+        for ck in reversed(c.p):
+            acc = acc * sigmas[-1] + ck
+        sigmas.append(q + acc)
+    return tuple(sigmas)
+
+
+class TestSpectralOracle:
+    # The symbol loop and the field-space loop round differently: the fields
+    # may differ by a few ulps of max|f|, stated here as 16.
+    REL_LINF = 16 * 2.0**-52
+    GRIDS = [
+        Grid(dim=1, extent=8.0, points_per_axis=256),
+        Grid(dim=2, extent=8.0, points_per_axis=64),
+        Grid(dim=3, extent=8.0, points_per_axis=16),
+    ]
+    VECTORS = [CoeffVector(v) for v in ([1], [1, 1], [0, 2], [2, 0, 1], [0, 0, 0, 3])]
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=["1d", "2d", "3d"])
+    @pytest.mark.parametrize("c", VECTORS, ids=lambda c: ",".join(map(str, c.coeffs)))
+    @pytest.mark.parametrize("frac", [0.3, 0.9])
+    def test_matches_field_space_loop(self, grid, c, frac):
+        p = build_poly(c)
+        psi = gaussian_field(grid, sigma=0.7, mass=frac * p.q_max)
+        f, rep = construct(psi, c, p)
+        want, oracle = field_space_construct(psi, c, rep.tol, DEFAULT_MAX_ITER)
+        assert rep.converged and oracle.converged and rep.monotone_ok
+        assert rep.iterations == oracle.iterations
+        assert linf_diff(f, want) <= self.REL_LINF * np.abs(want.values).max()
+        assert rep.masses == scalar_masses(integral(psi), c, rep.iterations + 1)
+        assert rep.final_mass == integral(f)
+        # min(Psi_J - Psi_{J-1}) >= -slack bounds the negative part of the
+        # last increment, whose integral is l1_deltas[-1]
+        if rep.iterations > 1:
+            with pytest.raises(NotConverged) as exc:
+                construct(psi, c, p, max_iter=rep.iterations - 1)
+            before = exc.value.field
+        else:
+            before = psi
+        bound = 2.0 * DEFAULT_TOLS.monotone_slack * grid.extent**grid.dim
+        assert abs(l1_norm(f - before) - rep.l1_deltas[-1]) <= bound
+
+    def test_no_transform_in_the_loop(self, monkeypatch):
+        calls = []
+        for name in ("_fftn", "_ifftn"):
+            real = getattr(field_mod, name)
+            monkeypatch.setattr(field_mod, name, lambda a, real=real: calls.append(1) or real(a))
+        counts = {}
+        for frac in (0.1, 0.9):
+            calls.clear()
+            _, rep = construct(seed(frac * P2.q_max), C2, P2)
+            counts[rep.iterations] = len(calls)
+        # the seed's forward transform, Psi_J and Psi_{J-1} back, and the
+        # residual's apply_p pair, whatever the iteration count
+        assert len(counts) == 2 and set(counts.values()) == {5}
+
+    def test_diverging_symbol_keeps_last_finite_iterate(self):
+        s = np.full(16, 2.0 + 0.0j)
+        w, before, deltas, masses = _iterate_symbol(s, C2, 1e-10, 100)
+        assert before is None
+        # 2, 6, 38, ... until the square passes the float range
+        assert masses == list(scalar_masses(2.0, C2, len(masses)))
+        assert deltas == [b - a for a, b in zip(masses, masses[1:])]
+        assert np.isfinite(w).all() and (w == masses[-1]).all()
+        assert masses[-1] * masses[-1] == math.inf
+
+    @pytest.mark.parametrize("extent", [8.0, 1e-48], ids=["field", "field-overflows"])
+    def test_overflow_ends_construct_unconverged(self, extent):
+        # at the admissible edge the masses crawl past t_q and then diverge;
+        # on the tiny box the last finite symbol's field, of mass over
+        # L^d = 1e-48, is beyond the float range too
+        grid = Grid(dim=1, extent=extent, points_per_axis=16)
+        psi = gaussian_field(grid, sigma=0.7, mass=P2.q_max * (1.0 + DEFAULT_TOLS.seed_mass_slack))
+        with pytest.raises(NotConverged) as exc:
+            construct(psi, C2, P2, max_iter=10**6)
+        rep, f = exc.value.report, exc.value.field
+        assert not rep.converged and rep.residual is None
+        assert rep.iterations < 10**6 and rep.final_mass == rep.masses[-1] > 1e150
+        if extent == 8.0:
+            assert np.isfinite(f.values).all() and rep.monotone_ok
+        else:
+            assert f is None and not rep.monotone_ok
+        json.dumps(rep.to_json(), allow_nan=False)
+        assert str(exc.value) == f"the step overflowed after {rep.iterations} iterations"
+
+    def test_traced_peak_memory(self):
+        # the symbol of psi, two iterate buffers and the transforms' temporaries
+        grid = Grid(dim=3, extent=24.0, points_per_axis=32)
+        psi = gaussian_field(grid, sigma=0.8, mass=0.5 * P2.q_max)
+        tracemalloc.start()
+        try:
+            _, rep = construct(psi, C2, P2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.converged
+        assert peak <= 5.1 * 16 * grid.points_per_axis**grid.dim
 
 
 class TestFixedPoint:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -70,6 +71,16 @@ class TestGrid:
         with pytest.raises(InvalidInput, match=f"points_per_axis {m} is too large for dim {dim}"):
             Grid(dim=dim, extent=8.0, points_per_axis=m)
         assert Grid(dim=dim, extent=8.0, points_per_axis=m // 2).shape == (m // 2,) * dim
+
+    @pytest.mark.parametrize(
+        "dim,extent,points,accepted",
+        [(3, 1e-120, 16, 1e-100), (2, 1e200, 1024, 1e150), (1, 1e-322, 1024, 1e-300)],
+        ids=["h^3-underflows", "L^2-overflows", "h-underflows"],
+    )
+    def test_volume_beyond_float_range(self, dim, extent, points, accepted):
+        with pytest.raises(InvalidInput, match=re.escape(f"extent {extent} in dim {dim}: the box")):
+            Grid(dim=dim, extent=extent, points_per_axis=points)
+        assert Grid(dim=dim, extent=accepted, points_per_axis=points).cell_volume > 0.0
 
     def test_frequency_layout(self):
         (xi,) = G1.frequencies()
