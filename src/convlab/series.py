@@ -3,9 +3,17 @@
 The j-th iterate of Psi_{j+1} = psi + sum_n a_n (*^n Psi_j) is a finite
 combination Psi_j = sum_l m_{j,l} (*^l psi). The table m_{j,l} lives in
 non-negative integers and stabilizes down the diagonal: c_l = m_{l,l} are
-the coefficients of the compositional inverse of Q. Everything here is
+the coefficients of the compositional inverse C of Q. Everything here is
 arbitrary-precision on purpose; the entries grow like Catalan numbers and
 any silent overflow would corrupt the downstream mass certificates.
+
+The c_l come three ways: iterate_table's diagonal (the paper's
+construction, O(N L^3) integer products for L terms), limit_series (the
+online recurrence on C = s + P(C): relaxed multiplication, van der Hoeven
+2002, in its naive quadratic form) and lagrange_inverse (the
+Lagrange-Buermann formula with J. C. P. Miller's power recurrence, Knuth
+TAOCP vol. 2, sec. 4.7), both O(N L^2). lagrange_inverse shares no code
+with the other two, so each checks the others.
 
 Polynomials are dense Python-int lists indexed by degree.
 """
@@ -68,8 +76,8 @@ class LimitSeries:
 
 def _trunc_mul(a: list[int], b: list[int], cap: int) -> list[int]:
     out = [0] * (cap + 1)
-    for i, ai in enumerate(a):
-        if ai == 0 or i > cap:
+    for i, ai in enumerate(a[: cap + 1]):
+        if ai == 0:
             continue
         for j, bj in enumerate(b):
             if i + j > cap:
@@ -114,29 +122,48 @@ def iterate_table(coeffs: CoeffVector, J: int, L_cap: int) -> CoeffTable:
 
 
 def limit_series(coeffs: CoeffVector, L: int) -> LimitSeries:
-    """Diagonal m_{l,l} for l = 1..L; stable because rows freeze below the
-    running index (m_{j,l} = m_{j+1,l} once j >= l)."""
-    if L < 1:
-        raise InvalidInput("need L >= 1")
-    table = iterate_table(coeffs, J=L, L_cap=L)
-    return LimitSeries(coeffs=coeffs, c=table.diagonal())
+    """The diagonal c_l = m_{l,l}, l = 1..L, by the online recurrence on
+    C = s + P(C), in O(N L^2) integer products.
 
-
-def lagrange_inverse(coeffs: CoeffVector, L: int) -> LimitSeries:
-    """Compositional inverse of Q by degree-by-degree solving.
-
-    Independent oracle for limit_series: writing C(s) = sum c_l s^l,
-    Q(C(s)) = s forces c_1 = 1 and, for l >= 2, c_l = [s^l] P(C_{<l})
-    because P vanishes to second order. Integrality is automatic.
+    With pw[n][l] = [s^l] C^n and pw[1] = c, each power is one Cauchy
+    product with C: pw[n][l] = sum_{i=1}^{l-n+1} c_i pw[n-1][l-i]. For
+    n >= 2 that reads only c_1..c_{l-1}, so c_l = sum_n a_n pw[n][l] is
+    known once the degrees below l are. Only sums and products of
+    non-negative integers occur, so every c_l is exact.
     """
     if L < 1:
         raise InvalidInput("need L >= 1")
-    c = [0] * (L + 1)
-    c[1] = 1
+    a, N = coeffs.p, coeffs.n2
+    c = [0, 1] + [0] * (L - 1)
+    pw = [[], c] + [[0] * (L + 1) for _ in range(2, N + 1)]
     for l in range(2, L + 1):
-        comp = _apply_p_poly(coeffs, c[:l], l)
-        c[l] = comp[l]
+        for n in range(2, N + 1):
+            pw[n][l] = sum(c[i] * pw[n - 1][l - i] for i in range(1, l - n + 2))
+        c[l] = sum(a[n] * pw[n][l] for n in range(2, N + 1))
     return LimitSeries(coeffs=coeffs, c=tuple(c[1:]))
+
+
+def lagrange_inverse(coeffs: CoeffVector, L: int) -> LimitSeries:
+    """Compositional inverse of Q by the Lagrange-Buermann formula, an
+    oracle for limit_series that shares no code path with the fixed point.
+
+    Q(w) = w h(w) with h(w) = 1 - P(w)/w = 1 - sum_j a_{j+1} w^j, so
+    c_l = [w^{l-1}] h^{-l} / l. Since h_0 = 1, g = h^{-l} follows from
+    Miller's recurrence k g_k = sum_{j=1}^{min(k, N-1)} ((1-l) j - k) h_j
+    g_{k-j}, written below with h_j = -a_{j+1} so that every term is
+    non-negative. 1/h has integer coefficients, hence so has g, and l c_l
+    = g_{l-1} with c_l an integer: both divisions are exact.
+    """
+    if L < 1:
+        raise InvalidInput("need L >= 1")
+    h = [(j, a) for j, a in enumerate(coeffs.p[2:], start=1) if a]
+    c = []
+    for l in range(1, L + 1):
+        g = [1]
+        for k in range(1, l):
+            g.append(sum((k + (l - 1) * j) * a * g[k - j] for j, a in h if j <= k) // k)
+        c.append(g[-1] // l)
+    return LimitSeries(coeffs=coeffs, c=tuple(c))
 
 
 def compose_q(series: LimitSeries) -> list[int]:

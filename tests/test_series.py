@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import sys
@@ -39,6 +40,17 @@ def apply_p_by_powers(coeffs: CoeffVector, poly: list[int], cap: int) -> list[in
     return out
 
 
+def lagrange_by_degree(coeffs: CoeffVector, L: int) -> tuple[int, ...]:
+    """The earlier lagrange_inverse, kept as an oracle: Q(C(s)) = s forces
+    c_1 = 1 and, for l >= 2, c_l = [s^l] P(C_{<l}), because P vanishes to
+    second order; P(C_{<l}) is recomputed for every l."""
+    c = [0] * (L + 1)
+    c[1] = 1
+    for l in range(2, L + 1):
+        c[l] = _apply_p_poly(coeffs, c[:l], l)[l]
+    return tuple(c[1:])
+
+
 class TestIterateTable:
     def test_horner_matches_power_loop(self):
         # the rows iterate_table feeds it, and a poly with a constant term
@@ -46,6 +58,19 @@ class TestIterateTable:
             polys = [list(r) for r in iterate_table(c, J=3, L_cap=12).rows] + [[2, 1, 0, 3]]
             for poly in polys:
                 assert _apply_p_poly(c, poly, 12) == apply_p_by_powers(c, poly, 12)
+
+    def test_trunc_mul_is_the_truncated_product(self):
+        # operands longer than the cap, with constant terms and zeros; the
+        # power-loop oracles above share _trunc_mul, so it gets its own
+        rng = np.random.default_rng(24)
+        for _ in range(50):
+            a = [int(v) for v in rng.integers(-3, 4, size=rng.integers(1, 12))]
+            b = [int(v) for v in rng.integers(-3, 4, size=rng.integers(1, 12))]
+            cap = int(rng.integers(0, 10))
+            full = [0] * (len(a) + len(b))
+            for (i, x), (j, y) in itertools.product(enumerate(a), enumerate(b)):
+                full[i + j] += x * y
+            assert _trunc_mul(a, b, cap) == (full + [0] * (cap + 1))[: cap + 1]
 
     def test_first_rows_two_fold(self):
         t = iterate_table(CoeffVector([1]), J=2, L_cap=8)
@@ -120,6 +145,26 @@ class TestLimitSeries:
             c = random_coeffs(rng)
             L = int(rng.integers(4, 20))
             assert limit_series(c, L).c == lagrange_inverse(c, L).c
+
+    def test_every_route_on_certificate_vectors(self):
+        # the recurrence, Lagrange-Buermann, the table diagonal (the paper's
+        # construction) and the degree-by-degree solve: equal integers
+        for i, c in enumerate(certificate_vectors()):
+            L = 12 if i < 1359 else 8
+            want = lagrange_by_degree(c, L)
+            assert limit_series(c, L).c == want
+            assert lagrange_inverse(c, L).c == want
+            assert iterate_table(c, J=L, L_cap=L).diagonal() == want
+
+    @pytest.mark.parametrize(
+        "a",
+        [*itertools.product((1, 2, 3), repeat=2), (0, 0, 0, 3), (817704, 0, 408733, 881644)],
+    )
+    def test_long_series(self, a):
+        c = CoeffVector(a)
+        s = limit_series(c, L=100)
+        assert s.c == lagrange_inverse(c, L=100).c
+        assert compose_q(s) == [0, 1] + [0] * 99
 
     def test_compose_q_is_identity(self):
         rng = np.random.default_rng(32)
