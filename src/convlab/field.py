@@ -11,6 +11,15 @@ half-period shift, applied as the alternating-sign phase in frequency.
 Wrap-around contamination from the R^d-to-torus substitution is the
 caller's risk; aliasing_guard measures the boundary-shell mass so tests
 can assert it is negligible.
+
+Every reduction (integral, l1_norm, aliasing_guard and the renormalisation
+in gaussian_field) is the exact sum of the values rounded once, equal bit
+for bit to math.fsum and so independent of summation order and thread
+count. Arrays of 2048 values or more are summed by a superaccumulator
+indexed by binary exponent (Neal, arXiv:1505.05571), which matches fsum at
+numpy speed. Shorter arrays go to math.fsum, which is faster there, and so
+do the two cases the superaccumulator cannot hold exactly: 2^26 values or
+more, and any value of magnitude 2^996 or more.
 """
 
 from __future__ import annotations
@@ -210,14 +219,81 @@ def apply_p(f: Field, coeffs: CoeffVector) -> Field:
     return _field_from_symbol(f.grid, _p_of_symbol(t, coeffs, np.empty_like(t)))
 
 
+# --- exactly rounded sums -------------------------------------------------
+
+_FSUM_BELOW = 2048  # shorter arrays are summed faster by math.fsum
+_FSUM_FROM_COUNT = 1 << 26  # bucket sums of this many 27-bit halves can round
+_FSUM_FROM_MAGNITUDE = 2.0**996  # below it, no partial sum of 2^26 values overflows
+_BLOCK = 8192
+_EXP_OFFSET = 1074  # frexp exponents -1073..996 land in lanes 1..2070
+_LANES = 2112  # 2071 lanes plus the 27 the top halves move up, in whole rows of 64
+_ROW_WEIGHTS = 1 << np.arange(32, dtype=np.int64)
+_BIAS = 1 << 53  # lifts every lane total into [0, 2^55)
+_BIAS_TOTAL = _BIAS * ((1 << _LANES) - 1)
+
+
+def _exact_sum(x: np.ndarray) -> float:
+    """math.fsum(x.ravel()), bit for bit: the exact sum rounded once.
+
+    Each value is m 2^e with 1/2 <= |m| < 1 (np.frexp). m 2^26 splits into
+    an integer top and a bottom in [0, 1) with 27 fraction bits; one
+    bincount per half adds them per exponent, exactly while fewer than 2^26
+    values are summed. Lane j of the int64 array c then holds an integer of
+    weight 2^(j - 1127): the bottoms (times 2^27) in lane e + 1074, the tops
+    27 lanes higher. Rows of 32 lanes are weighted by 2^0..2^31 in int64,
+    packed into one Python integer with int.from_bytes, and divided by
+    2^1127, which rounds correctly. The cost does not depend on how many
+    exponents occur.
+    """
+    x = x.ravel()
+    n = x.size
+    if (
+        n < _FSUM_BELOW
+        or n >= _FSUM_FROM_COUNT
+        or not (-_FSUM_FROM_MAGNITUDE < x.min() and x.max() < _FSUM_FROM_MAGNITUDE)
+    ):
+        return math.fsum(x)
+    size = min(n, _BLOCK)
+    mant, exp, top = np.empty(size), np.empty(size, dtype=np.intp), np.empty(size)
+    bottoms, tops = np.zeros(_LANES), np.zeros(_LANES)
+    for start in range(0, n, _BLOCK):
+        block = x[start : start + _BLOCK]
+        k = block.size
+        m, e, t = mant[:k], exp[:k], top[:k]
+        np.frexp(block, out=(m, e))
+        m *= 2.0**26
+        np.floor(m, out=t)
+        m -= t
+        e += _EXP_OFFSET
+        bottoms += np.bincount(e, weights=m, minlength=_LANES)
+        tops += np.bincount(e, weights=t, minlength=_LANES)
+    bottoms *= 2.0**27
+    c = bottoms.astype(np.int64)
+    c[27:] += tops[:-27].astype(np.int64)
+    c += _BIAS
+    halves = np.empty((2, _LANES), dtype=np.int64)
+    np.bitwise_and(c, (1 << 28) - 1, out=halves[0])
+    np.right_shift(c, 28, out=halves[1])
+    # row r weighs 2^(32 r) and stays below 2^60: even and odd rows are
+    # each a run of non-overlapping 64-bit words
+    rows = halves.reshape(2, -1, 32) @ _ROW_WEIGHTS
+    words = rows.reshape(2, -1, 2).transpose(0, 2, 1).astype("<i8").tobytes()
+    q = len(words) // 4
+    low0, low1, high0, high1 = (
+        int.from_bytes(words[i * q : (i + 1) * q], "little") for i in range(4)
+    )
+    total = low0 + (low1 << 32) + ((high0 + (high1 << 32)) << 28) - _BIAS_TOTAL
+    return total / (1 << (_EXP_OFFSET + 53))
+
+
 def integral(f: Field) -> float:
-    """Exactly-rounded sequential sum times cell volume; bit-stable across
-    runs and thread counts."""
-    return f.grid.cell_volume * math.fsum(f.values.ravel())
+    """Sum of the values times the cell volume; the sum is exactly rounded
+    (equal to math.fsum), whatever the order or thread count."""
+    return f.grid.cell_volume * _exact_sum(f.values)
 
 
 def l1_norm(f: Field) -> float:
-    return f.grid.cell_volume * math.fsum(np.abs(f.values).ravel())
+    return f.grid.cell_volume * _exact_sum(np.abs(f.values))
 
 
 def min_value(f: Field) -> float:
@@ -239,11 +315,11 @@ def aliasing_guard(f: Field, shell_fraction: float) -> float:
     in_shell = np.zeros(g.shape, dtype=bool)
     for xa in g.coordinate_arrays():
         in_shell |= np.broadcast_to(np.abs(xa) > cut, g.shape)
-    total = math.fsum(np.abs(f.values).ravel())
+    a = np.abs(f.values)
+    total = _exact_sum(a)
     if total == 0.0:
         return 0.0
-    shell = math.fsum(np.abs(f.values[in_shell]).ravel())
-    return shell / total
+    return _exact_sum(a[in_shell]) / total
 
 
 # --- reference fields ---------------------------------------------------
@@ -269,7 +345,7 @@ def gaussian_field(grid: Grid, sigma: float, mass: float = 1.0) -> Field:
         r2 = r2 + xa**2
     with np.errstate(over="ignore"):  # r2 / two_var beyond the float range: exp gives 0
         v = np.exp(-r2 / two_var)
-    got = grid.cell_volume * math.fsum(v.ravel())
+    got = grid.cell_volume * _exact_sum(v)
     return Field(grid, v * (mass / got))
 
 

@@ -303,6 +303,17 @@ class TestFixedPoint:
         err = rep.not_converged(field=u)
         assert str(err) == f"the step overflowed after {iterations} iterations"
 
+    def test_overflow_above_the_fsum_cutoff(self):
+        # 4096 values take the superaccumulator; 2^1020 sends the mass to
+        # math.fsum, which overflows, and the run ends as on the small grid
+        big = Grid(dim=1, extent=16.0, points_per_axis=4096)
+        ones = Field(big, np.ones(big.shape))
+        u, rep = fixed_point(lambda f: Field(big, np.full(big.shape, 2.0**1020)), ones, 2.0**-10, 100)
+        assert not rep.converged and rep.residual is None
+        assert rep.iterations == 0 and rep.masses == (integral(ones),) == (16.0,)
+        assert u is ones
+        assert str(rep.not_converged(field=u)) == "the step overflowed after 0 iterations"
+
     @pytest.mark.parametrize("max_iter", [0, -1])
     def test_max_iter_rejected(self, max_iter):
         with pytest.raises(ValueError, match="max_iter"):

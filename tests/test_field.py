@@ -31,7 +31,8 @@ from convlab import (
     write_csv,
     write_cvlf,
 )
-from convlab.field import _field_from_symbol, _k_squared, _mass_symbol
+import convlab.field as field_module
+from convlab.field import _exact_sum, _field_from_symbol, _k_squared, _mass_symbol
 
 from conftest import random_smooth_field
 
@@ -308,6 +309,167 @@ class TestFunctionals:
         assert integral(f) == integral(Field(G2, f.values.copy()))
 
 
+def same_as_fsum(x: np.ndarray) -> None:
+    assert _exact_sum(x).hex() == math.fsum(x.ravel()).hex()
+
+
+@pytest.fixture
+def fsum_calls(monkeypatch):
+    """Sizes of the arrays handed to math.fsum while the test runs."""
+    calls = []
+    fsum = math.fsum
+
+    def spy(v):
+        calls.append(len(v))
+        return fsum(v)
+
+    monkeypatch.setattr(math, "fsum", spy)
+    return calls
+
+
+class TestExactSum:
+    """_exact_sum against math.fsum, compared by float.hex."""
+
+    CUT = field_module._FSUM_BELOW
+    BLOCK = field_module._BLOCK
+    SIZES = [CUT - 1, CUT, CUT + 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3, 3 * BLOCK]
+
+    @staticmethod
+    def wide(rng, n, lo=-1074, hi=995):
+        """Signed values whose binary exponents are uniform in [lo, hi]."""
+        return np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(lo + 1, hi + 1, n))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_sizes_across_cutoff_and_blocks(self, n):
+        rng = np.random.default_rng(n)
+        same_as_fsum(self.wide(rng, n))
+        same_as_fsum(np.abs(self.wide(rng, n)))
+        same_as_fsum(rng.standard_normal(n))
+
+    def test_takes_the_kernel_above_the_cutoff(self, fsum_calls):
+        rng = np.random.default_rng(1)
+        for n in (self.CUT - 1, self.CUT, 3 * self.BLOCK):
+            _exact_sum(rng.standard_normal(n))
+        assert fsum_calls == [self.CUT - 1]
+
+    def test_adversarial_arrays(self):
+        rng = np.random.default_rng(2)
+        for i in range(120):
+            n = int(rng.integers(self.CUT, 3 * self.BLOCK))
+            kind = i % 6
+            if kind == 0:
+                x = self.wide(rng, n)
+            elif kind == 1:  # heavy cancellation, a small residue
+                y = self.wide(rng, n // 2, -200, 200)
+                x = rng.permutation(np.concatenate([y, -y, self.wide(rng, n - 2 * (n // 2), -400, -300)]))
+            elif kind == 2:  # Gaussian-like tails reaching the subnormals
+                x = np.exp(-rng.uniform(0.0, 745.0, n)) * rng.choice([-1.0, 1.0], n)
+            elif kind == 3:  # full 53-bit mantissas in a narrow band: many carries
+                x = np.ldexp(rng.integers(2**52, 2**53, n).astype(float), rng.integers(-60, -50, n))
+            elif kind == 4:  # large values whose low bits decide the rounding
+                x = np.concatenate([[2.0**990, -(2.0**990)], self.wide(rng, n - 2, -1074, -900)])
+            else:  # one sign and equal exponents: a single bucket takes everything
+                x = np.ldexp(rng.uniform(0.5, 1.0, n), 3)
+            same_as_fsum(x)
+
+    def test_span_of_magnitudes(self):
+        n = self.CUT
+        tiny, top = 2.0**-1074, np.nextafter(2.0**996, 0.0)
+        for x in (np.full(n, tiny), np.full(n, top), np.full(n, -top)):
+            same_as_fsum(x)
+        x = np.zeros(n)
+        x[:4] = [tiny, top, -tiny, 2.0**995]
+        same_as_fsum(x)
+
+    def test_subnormal_inputs_and_results(self):
+        rng = np.random.default_rng(3)
+        n = 5000
+        sub = np.ldexp(rng.integers(-(2**52), 2**52, n).astype(float), -1074)
+        same_as_fsum(sub)
+        same_as_fsum(np.abs(sub))
+        # normal values that cancel down to a subnormal sum
+        y = self.wide(rng, n, -1022, -1000)
+        same_as_fsum(np.concatenate([y, -y, [3 * 2.0**-1074]]))
+        # the sum of subnormals crosses into the normal range
+        same_as_fsum(np.full(n, np.nextafter(2.0**-1022, 0.0)))
+
+    def test_signed_zeros(self):
+        n = self.BLOCK + 5
+        for x in (np.zeros(n), np.full(n, -0.0), np.where(np.arange(n) % 2, 0.0, -0.0)):
+            same_as_fsum(x)
+            assert _exact_sum(x).hex() == "0x0.0p+0"
+        same_as_fsum(np.concatenate([np.full(n, -0.0), [-(2.0**-1074)]]))
+
+    def test_exact_cancellation(self):
+        rng = np.random.default_rng(4)
+        y = self.wide(rng, 3000)
+        x = rng.permutation(np.concatenate([y, -y]))
+        same_as_fsum(x)
+        assert _exact_sum(x) == 0.0
+
+    @pytest.mark.parametrize(
+        "head,want",
+        [
+            ([1.0, 2.0**-53], 1.0),  # a tie rounds to the even neighbour below
+            ([1.0 + 2.0**-52, 2.0**-53], 1.0 + 2.0**-51),  # and above
+            ([1.0, 2.0**-53, 2.0**-1074], 1.0 + 2.0**-52),  # a far sticky bit breaks it
+            ([1.0, 2.0**-53, -(2.0**-1074)], 1.0),
+            ([-1.0, -(2.0**-53)], -1.0),
+            ([2.0**-1021, 2.0**-1074], 2.0**-1021),  # the first binade with ties
+            ([2.0**900, 2.0**847, 2.0**846, -(2.0**846)], 2.0**900),
+        ],
+    )
+    def test_round_half_even(self, head, want):
+        x = np.zeros(2 * self.BLOCK + 7)
+        for i, v in enumerate(head):
+            x[i * (self.BLOCK // 2 + 1)] = v  # spread over two blocks
+        same_as_fsum(x)
+        assert _exact_sum(x) == want
+
+    def test_shape_and_strides(self):
+        rng = np.random.default_rng(5)
+        a = self.wide(rng, 64 * 64).reshape(64, 64)
+        same_as_fsum(a)
+        same_as_fsum(a.T)
+        same_as_fsum(self.wide(rng, 3 * self.BLOCK)[::3])
+
+    def test_count_fallback(self, monkeypatch, fsum_calls):
+        monkeypatch.setattr(field_module, "_FSUM_FROM_COUNT", self.BLOCK)
+        rng = np.random.default_rng(6)
+        for n in (self.BLOCK - 1, self.BLOCK):
+            same_as_fsum(self.wide(rng, n))
+        # the oracle's two calls and the fallback's one
+        assert fsum_calls == [self.BLOCK - 1, self.BLOCK, self.BLOCK]
+
+    @pytest.mark.parametrize("big", [2.0**996, -(2.0**996), 2.0**1023, -np.inf, np.nan])
+    def test_magnitude_fallback(self, big, fsum_calls):
+        x = np.random.default_rng(7).standard_normal(self.CUT)
+        x[17] = big
+        same_as_fsum(x)
+        assert fsum_calls == [self.CUT, self.CUT]
+
+    def test_intermediate_overflow_raises_as_fsum(self):
+        x = np.zeros(self.BLOCK)
+        x[:3] = [2.0**1023, 2.0**1023, -(2.0**1023)]
+        with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
+            math.fsum(x)
+        with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
+            _exact_sum(x)
+
+    def test_callers_match_fsum(self):
+        g = Grid(dim=2, extent=8.0, points_per_axis=128)
+        rng = np.random.default_rng(8)
+        f = random_smooth_field(g, rng)
+        v = f.values
+        assert integral(f) == g.cell_volume * math.fsum(v.ravel())
+        assert l1_norm(f) == g.cell_volume * math.fsum(np.abs(v).ravel())
+        psi = gaussian_field(g, sigma=0.4, mass=0.3)
+        r2 = sum(xa**2 for xa in g.coordinate_arrays())
+        raw = np.exp(-r2 / (2.0 * 0.4 * 0.4))
+        want = raw * (0.3 / (g.cell_volume * math.fsum(raw.ravel())))
+        assert psi.values.tobytes() == want.tobytes()
+
+
 class TestReferenceFields:
     @pytest.mark.parametrize("sigma", [0.0, -1.0, math.inf, math.nan])
     def test_gaussian_sigma_positive_and_finite(self, sigma):
@@ -342,6 +504,25 @@ class TestAliasingGuard:
         s = 0.125
         got = aliasing_guard(uniform_field(G1), s)
         assert abs(got - 2.0 * s) <= 4.0 / G1.points_per_axis
+
+    @pytest.mark.parametrize("grid", [G1, G2], ids=["fsum", "kernel"])
+    @pytest.mark.parametrize("shell", [0.1, 0.125, 0.3])
+    def test_matches_fsum_formula(self, grid, shell):
+        rng = np.random.default_rng(80)
+        fields = [
+            delta_field(grid),
+            gaussian_field(grid, sigma=0.25),
+            uniform_field(grid),
+            random_smooth_field(grid, rng),
+        ]
+        cut = 0.5 * grid.extent - shell * grid.extent
+        in_shell = np.zeros(grid.shape, dtype=bool)
+        for xa in grid.coordinate_arrays():
+            in_shell |= np.broadcast_to(np.abs(xa) > cut, grid.shape)
+        for f in fields:
+            total = math.fsum(np.abs(f.values).ravel())
+            want = math.fsum(np.abs(f.values[in_shell]).ravel()) / total
+            assert aliasing_guard(f, shell).hex() == want.hex()
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
