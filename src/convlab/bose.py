@@ -75,7 +75,7 @@ class CertificateReport:
 
 
 def _resolvent_symbol(grid: Grid, xi: float, m: int) -> np.ndarray:
-    """R_m = (xi + 4 pi^2 ||k||^2)^(-m) over the grid's frequencies."""
+    """R_m = (xi + 4 pi^2 ||k||^2)^(-m) over the grid's half spectrum."""
     return (xi + 4.0 * np.pi**2 * _k_squared(grid)) ** (-m)
 
 
@@ -124,7 +124,8 @@ def solve(
         symbol = _mass_symbol(_fresh(grid, problem.V.values * (1.0 - u.values)))
         if mu > 0:
             symbol += mu * _mass_symbol(u) ** (m + 1)
-        return _field_from_symbol(grid, r_m * symbol)
+        symbol *= r_m
+        return _field_from_symbol(grid, symbol)
 
     u, report = fixed_point(step, Field(grid, np.zeros(grid.shape)), tol, max_iter)
     mass_u = report.final_mass

@@ -8,6 +8,14 @@ integral(f*g) = integral(f) integral(g) an exact zero-frequency identity
 rather than a quadrature approximation. The off-center origin costs a
 half-period shift, applied as the alternating-sign phase in frequency.
 
+Every field is real, so its transform is Hermitian and half of it is
+redundant. Mass symbols are kept on the half spectrum, of shape
+(M,)*(d-1) + (M//2+1,), through scipy.fft.rfftn and irfftn; the origin
+index (0,)*d is still frequency zero. Everything done to a symbol is
+pointwise, so it sees only those entries. Where a symbol on the planes
+k_d = 0 and k_d = M/2 is not Hermitian, irfftn keeps the real part of
+their inverse, as the real part of a full complex inverse would.
+
 Wrap-around contamination from the R^d-to-torus substitution is the
 caller's risk; aliasing_guard measures the boundary-shell mass so tests
 can assert it is negligible.
@@ -56,7 +64,7 @@ class Grid:
         m = self.points_per_axis
         if m < 16 or (m & (m - 1)) != 0:
             raise InvalidInput(f"points_per_axis must be a power of two >= 16, got {m}")
-        if 16 * m**self.dim > np.iinfo(np.intp).max:  # bytes of the complex transform
+        if 16 * m**self.dim > np.iinfo(np.intp).max:  # bounds a complex symbol's bytes
             raise InvalidInput(f"points_per_axis {m} is too large for dim {self.dim}")
         try:
             volume = self.extent**self.dim
@@ -146,44 +154,55 @@ def _require_same_grid(f: Field, g: Field) -> None:
 
 @lru_cache(maxsize=32)
 def _half_shift_phase(dim: int, m: int) -> np.ndarray:
-    """(-1)^(k_1 + ... + k_d): the spectral form of rolling every axis by
-    M/2, which moves the convolution origin back to the grid's node M/2."""
+    """(-1)^(k_1 + ... + k_d) on the half spectrum: the spectral form of
+    rolling every axis by M/2, which moves the convolution origin back to
+    the grid's node M/2."""
     one = (1.0 - 2.0 * (np.arange(m) % 2)).astype(np.float64)
-    ph = one
+    ph = one[: m // 2 + 1]
     for _ in range(dim - 1):
-        ph = np.multiply.outer(ph, one)
+        ph = np.multiply.outer(one, ph)
     return ph
 
 
 @lru_cache(maxsize=32)
 def _k_squared(grid: Grid) -> np.ndarray:
-    """||k||^2 over the grid's discrete frequencies, summed axis by axis;
-    read-only, since every caller shares it."""
-    norm = np.zeros(grid.shape)
+    """||k||^2 over the half spectrum, summed axis by axis; on the last
+    axis |k| runs over the first M/2 + 1 of |fftfreq|, the rfftfreq values.
+    Read-only, since every caller shares it."""
+    half = grid.points_per_axis // 2 + 1
+    norm = np.zeros(grid.shape[:-1] + (half,))
     for k in grid.frequencies():
-        norm = norm + k**2
+        norm = norm + k[..., :half] ** 2
     norm.flags.writeable = False
     return norm
 
 
 def _fftn(a: np.ndarray) -> np.ndarray:
-    return _sfft.fftn(a, workers=fft_workers())
+    return _sfft.rfftn(a, workers=fft_workers())
 
 
-def _ifftn(a: np.ndarray) -> np.ndarray:
-    return _sfft.ifftn(a, workers=fft_workers())
+def _ifftn(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    return _sfft.irfftn(a, s=shape, workers=fft_workers())
 
 
 def _mass_symbol(f: Field) -> np.ndarray:
-    """cell_volume * DFT * phase; its value at frequency zero is the mass,
-    and products of symbols correspond to convolutions of fields."""
-    ph = _half_shift_phase(f.grid.dim, f.grid.points_per_axis)
-    return f.grid.cell_volume * _fftn(f.values) * ph
+    """cell_volume * DFT * phase on the half spectrum, of shape
+    (M,)*(d-1) + (M//2+1,); its value at frequency zero is the mass, and
+    products of symbols correspond to convolutions of fields. The phase is
+    +-1, so the order of the two scalings does not change a bit."""
+    s = _fftn(f.values)
+    s *= _half_shift_phase(f.grid.dim, f.grid.points_per_axis)
+    s *= f.grid.cell_volume
+    return s
 
 
 def _field_from_symbol(grid: Grid, symbol: np.ndarray) -> Field:
+    """The real field of a half-spectrum symbol, by irfftn; where the
+    symbol is not Hermitian it keeps the real part (module docstring)."""
     ph = _half_shift_phase(grid.dim, grid.points_per_axis)
-    return _fresh(grid, _ifftn(symbol * ph).real / grid.cell_volume)
+    v = _ifftn(symbol * ph, grid.shape)
+    v /= grid.cell_volume
+    return _fresh(grid, v)
 
 
 def convolve(f: Field, g: Field) -> Field:
@@ -232,8 +251,9 @@ _BIAS = 1 << 53  # lifts every lane total into [0, 2^55)
 _BIAS_TOTAL = _BIAS * ((1 << _LANES) - 1)
 
 
-def _exact_sum(x: np.ndarray) -> float:
-    """math.fsum(x.ravel()), bit for bit: the exact sum rounded once.
+def _exact_sum(x: np.ndarray, absolute: bool = False) -> float:
+    """math.fsum(x.ravel()), bit for bit: the exact sum rounded once; with
+    absolute, the same of |x|, taken block by block with no full-size copy.
 
     Each value is m 2^e with 1/2 <= |m| < 1 (np.frexp). m 2^26 splits into
     an integer top and a bottom in [0, 1) with 27 fraction bits; one
@@ -252,7 +272,7 @@ def _exact_sum(x: np.ndarray) -> float:
         or n >= _FSUM_FROM_COUNT
         or not (-_FSUM_FROM_MAGNITUDE < x.min() and x.max() < _FSUM_FROM_MAGNITUDE)
     ):
-        return math.fsum(x)
+        return math.fsum(np.abs(x) if absolute else x)
     size = min(n, _BLOCK)
     mant, exp, top = np.empty(size), np.empty(size, dtype=np.intp), np.empty(size)
     bottoms, tops = np.zeros(_LANES), np.zeros(_LANES)
@@ -260,6 +280,8 @@ def _exact_sum(x: np.ndarray) -> float:
         block = x[start : start + _BLOCK]
         k = block.size
         m, e, t = mant[:k], exp[:k], top[:k]
+        if absolute:
+            block = np.abs(block, out=m)
         np.frexp(block, out=(m, e))
         m *= 2.0**26
         np.floor(m, out=t)
@@ -293,7 +315,8 @@ def integral(f: Field) -> float:
 
 
 def l1_norm(f: Field) -> float:
-    return f.grid.cell_volume * _exact_sum(np.abs(f.values))
+    """Sum of |values| times the cell volume, exactly rounded like integral."""
+    return f.grid.cell_volume * _exact_sum(f.values, absolute=True)
 
 
 def min_value(f: Field) -> float:
@@ -315,11 +338,10 @@ def aliasing_guard(f: Field, shell_fraction: float) -> float:
     in_shell = np.zeros(g.shape, dtype=bool)
     for xa in g.coordinate_arrays():
         in_shell |= np.broadcast_to(np.abs(xa) > cut, g.shape)
-    a = np.abs(f.values)
-    total = _exact_sum(a)
+    total = _exact_sum(f.values, absolute=True)
     if total == 0.0:
         return 0.0
-    return _exact_sum(a[in_shell]) / total
+    return _exact_sum(f.values[in_shell], absolute=True) / total
 
 
 # --- reference fields ---------------------------------------------------

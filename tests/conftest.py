@@ -7,7 +7,6 @@ import numpy as np
 
 import convlab
 from convlab import CoeffVector, Field, Grid
-from convlab.field import _k_squared
 
 
 def child_env(**overrides: str) -> dict[str, str]:
@@ -69,13 +68,22 @@ def random_coeffs(rng: np.random.Generator, max_degree: int = 6, max_a: int = 3)
     return CoeffVector([int(v) for v in a])
 
 
+def full_k_squared(grid: Grid) -> np.ndarray:
+    """||k||^2 over the full M^d frequency grid, summed axis by axis: the
+    layout of a complex fftn, independent of the package's half spectrum."""
+    norm = np.zeros(grid.shape)
+    for k in grid.frequencies():
+        norm = norm + k**2
+    return norm
+
+
 def random_smooth_field(
     grid: Grid, rng: np.random.Generator, nonneg: bool = False
 ) -> Field:
     """Band-limited noise: white noise pushed through a spectral Gaussian
     filter, optionally shifted to be non-negative."""
     white = rng.standard_normal(grid.shape)
-    norm = _k_squared(grid)
+    norm = full_k_squared(grid)
     cutoff = (0.125 * grid.points_per_axis / grid.extent) ** 2
     smooth = np.fft.ifftn(np.fft.fftn(white) * np.exp(-norm / cutoff)).real
     if nonneg:

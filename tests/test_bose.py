@@ -26,9 +26,8 @@ from convlab import (
     uniform_field,
 )
 from convlab.constructor import fixed_point
-from convlab.field import _k_squared
 
-from conftest import random_smooth_field
+from conftest import full_k_squared, random_smooth_field
 
 G = Grid(dim=1, extent=8.0, points_per_axis=256)
 G2 = Grid(dim=2, extent=8.0, points_per_axis=64)
@@ -53,7 +52,7 @@ def dense_solution(prob):
 
 def old_resolvent(f, xi, m):
     # the multiplier applied through raw transforms, as the solver once did
-    mult = (xi + 4.0 * np.pi**2 * _k_squared(f.grid)) ** (-m)
+    mult = (xi + 4.0 * np.pi**2 * full_k_squared(f.grid)) ** (-m)
     return Field(f.grid, scipy.fft.ifftn(scipy.fft.fftn(f.values) * mult).real)
 
 
@@ -258,17 +257,18 @@ class TestSolve:
     @pytest.mark.parametrize("mu,per_step", [(0.0, 2), (0.05, 3)])
     def test_transforms_per_step(self, monkeypatch, mu, per_step):
         calls = []
-        for name in ("fftn", "ifftn"):
+        for name in ("rfftn", "irfftn", "fftn", "ifftn"):
             orig = getattr(scipy.fft, name)
 
-            def counted(*args, _orig=orig, **kwargs):
-                calls.append(1)
+            def counted(*args, _orig=orig, _name=name, **kwargs):
+                calls.append(_name)
                 return _orig(*args, **kwargs)
 
             monkeypatch.setattr(scipy.fft, name, counted)
         sol = bose_solve(problem(v_mass=0.3, xi=1.2, mu=mu, m=2))
-        # one step per iteration plus the residual's
+        # one step per iteration plus the residual's, all real-to-complex
         assert len(calls) == per_step * (sol.report.iterations + 1)
+        assert set(calls) == {"rfftn", "irfftn"}
 
     def test_deterministic(self):
         a = bose_solve(problem(v_mass=0.3, mu=0.01)).u.values

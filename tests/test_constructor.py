@@ -190,7 +190,9 @@ class TestSpectralOracle:
         calls = []
         for name in ("_fftn", "_ifftn"):
             real = getattr(field_mod, name)
-            monkeypatch.setattr(field_mod, name, lambda a, real=real: calls.append(1) or real(a))
+            monkeypatch.setattr(
+                field_mod, name, lambda *a, real=real: calls.append(1) or real(*a)
+            )
         counts = {}
         for frac in (0.1, 0.9):
             calls.clear()
@@ -230,7 +232,9 @@ class TestSpectralOracle:
         assert str(exc.value) == f"the step overflowed after {rep.iterations} iterations"
 
     def test_traced_peak_memory(self):
-        # the symbol of psi, two iterate buffers and the transforms' temporaries
+        # the symbol of psi, two iterate buffers and the transforms'
+        # temporaries, all on the half spectrum: measured at 5.73 * 8 M^d
+        # bytes, where full-size complex symbols took 10.02 * 8 M^d
         grid = Grid(dim=3, extent=24.0, points_per_axis=32)
         psi = gaussian_field(grid, sigma=0.8, mass=0.5 * P2.q_max)
         tracemalloc.start()
@@ -240,7 +244,7 @@ class TestSpectralOracle:
         finally:
             tracemalloc.stop()
         assert rep.converged
-        assert peak <= 5.1 * 16 * grid.points_per_axis**grid.dim
+        assert peak <= 5.9 * 8 * grid.points_per_axis**grid.dim
 
 
 class TestFixedPoint:

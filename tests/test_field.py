@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from convlab import (
     CoeffVector,
@@ -32,9 +33,11 @@ from convlab import (
     write_cvlf,
 )
 import convlab.field as field_module
+from convlab.bose import resolvent_apply
 from convlab.field import _exact_sum, _field_from_symbol, _k_squared, _mass_symbol
+from convlab.witness import MIN_RESOLUTION, PoissonParams, poisson_field
 
-from conftest import random_smooth_field
+from conftest import full_k_squared, random_smooth_field
 
 G1 = Grid(dim=1, extent=8.0, points_per_axis=256)
 G2 = Grid(dim=2, extent=8.0, points_per_axis=64)
@@ -64,8 +67,9 @@ class TestGrid:
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_transform_beyond_address_space(self, dim):
-        # the smallest M whose 16 M^d-byte complex transform no index can
-        # address is refused; M / 2 is accepted, since a Grid allocates nothing
+        # the smallest M whose 16 M^d bytes, a bound on the complex symbol,
+        # no index can address is refused; M / 2 is accepted, since a Grid
+        # allocates nothing
         m = 16
         while 16 * m**dim <= np.iinfo(np.intp).max:
             m *= 2
@@ -90,10 +94,15 @@ class TestGrid:
 
     @pytest.mark.parametrize("grid", [G1, G2, Grid(dim=3, extent=6.0, points_per_axis=16)])
     def test_k_squared(self, grid):
-        norm = np.zeros(grid.shape)
-        for k in grid.frequencies():
-            norm = norm + k**2
+        # the half spectrum: fftfreq on the leading axes, rfftfreq on the last
+        m = grid.points_per_axis
+        full = np.fft.fftfreq(m, d=grid.h)
+        axes = [full] * (grid.dim - 1) + [np.fft.rfftfreq(m, d=grid.h)]
+        norm = np.zeros([len(k) for k in axes])
+        for a, k in enumerate(axes):
+            norm = norm + k.reshape((1,) * a + (-1,) + (1,) * (grid.dim - 1 - a)) ** 2
         got = _k_squared(grid)
+        assert got.shape == (m,) * (grid.dim - 1) + (m // 2 + 1,)
         assert np.array_equal(got, norm)
         assert not got.flags.writeable
         assert _k_squared(Grid(grid.dim, grid.extent, grid.points_per_axis)) is got
@@ -249,6 +258,117 @@ def apply_p_by_coeffs(f: Field, coeffs: CoeffVector) -> Field:
     return _field_from_symbol(f.grid, acc)
 
 
+def full_phase(grid: Grid) -> np.ndarray:
+    """(-1)^(k_1 + ... + k_d) over the full M^d spectrum."""
+    one = 1.0 - 2.0 * (np.arange(grid.points_per_axis) % 2)
+    ph = one
+    for _ in range(grid.dim - 1):
+        ph = np.multiply.outer(ph, one)
+    return ph
+
+
+def full_mass_symbol(f: Field) -> np.ndarray:
+    """The mass symbol through a complex fftn on the full M^d spectrum, as
+    the package once computed it: the oracle for the half spectrum."""
+    return f.grid.cell_volume * scipy.fft.fftn(f.values) * full_phase(f.grid)
+
+
+def full_field_values(grid: Grid, symbol: np.ndarray) -> np.ndarray:
+    return scipy.fft.ifftn(symbol * full_phase(grid)).real / grid.cell_volume
+
+
+def full_horner(t: np.ndarray, coeffs: CoeffVector) -> np.ndarray:
+    acc = np.zeros_like(t)
+    for ck in reversed(coeffs.p):
+        acc *= t
+        if ck:
+            acc += ck
+    return acc
+
+
+class TestComplexOracle:
+    """Every transform route against the full complex path. The two round
+    differently; over 1-d to 3-d grids up to 4096, 128^2 and 32^3 they
+    differed by at most 3.2 ulps of max|f|, and the bound is 8."""
+
+    ULPS = 8 * 2.0**-52
+    GRIDS = [G1, G2, Grid(dim=3, extent=6.0, points_per_axis=16)]
+    IDS = ["1d", "2d", "3d"]
+
+    def close(self, got: Field, want: np.ndarray) -> None:
+        assert got.values.shape == want.shape
+        assert np.abs(got.values - want).max() <= self.ULPS * np.abs(want).max()
+
+    def fields(self, grid):
+        rng = np.random.default_rng(90 + grid.dim)
+        g = random_smooth_field(grid, rng)
+        h = random_smooth_field(grid, rng, nonneg=True)
+        return [
+            gaussian_field(grid, sigma=0.6, mass=0.3),
+            (0.2 / l1_norm(g)) * g,
+            (0.4 / l1_norm(h)) * h,
+        ]
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=IDS)
+    def test_symbol_is_the_half_of_the_full_one(self, grid):
+        m = grid.points_per_axis
+        for f in self.fields(grid):
+            half, full = _mass_symbol(f), full_mass_symbol(f)
+            assert half.shape == (m,) * (grid.dim - 1) + (m // 2 + 1,)
+            scale = np.abs(full).max()
+            assert np.abs(half - full[..., : m // 2 + 1]).max() <= self.ULPS * scale
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=IDS)
+    def test_convolve_and_powers(self, grid):
+        fs = self.fields(grid)
+        for f, g in itertools.combinations(fs, 2):
+            self.close(convolve(f, g), full_field_values(grid, full_mass_symbol(f) * full_mass_symbol(g)))
+        for f in fs:
+            for n in (2, 3, 5):
+                self.close(conv_power(f, n), full_field_values(grid, full_mass_symbol(f) ** n))
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=IDS)
+    def test_apply_p(self, grid):
+        for f in self.fields(grid):
+            for a in ([1], [1, 1], [2, 0, 1], [0, 0, 0, 3]):
+                c = CoeffVector(a)
+                self.close(apply_p(f, c), full_field_values(grid, full_horner(full_mass_symbol(f), c)))
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=IDS)
+    def test_resolvent(self, grid):
+        for f in self.fields(grid):
+            for xi, m in ((1.0, 1), (1.2, 2), (0.3, 3)):
+                mult = (xi + 4.0 * np.pi**2 * full_k_squared(grid)) ** (-m)
+                self.close(resolvent_apply(f, xi, m), full_field_values(grid, full_mass_symbol(f) * mult))
+
+    @pytest.mark.parametrize("grid", GRIDS[1:], ids=IDS[1:])
+    def test_poisson_witness(self, grid):
+        # the 1-d witness is the closed form, with no transform
+        norm = np.sqrt(full_k_squared(grid))
+        for scale in (1.0, 1.5, 4.0):
+            t = scale * MIN_RESOLUTION * grid.extent / grid.points_per_axis
+            got = poisson_field(PoissonParams(a=0.4, t=t, grid=grid))
+            self.close(got, full_field_values(grid, 0.4 * np.exp(-2.0 * np.pi * t * norm)))
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=IDS)
+    @pytest.mark.parametrize("plane", ["zero", "nyquist"])
+    def test_imaginary_part_on_a_self_conjugate_plane(self, grid, plane):
+        # irfftn reads the planes k_d = 0 and k_d = M/2 whole, and keeps the
+        # real part of their inverse, as .real of the full inverse did
+        m = grid.points_per_axis
+        k = 0 if plane == "zero" else m // 2
+        f = self.fields(grid)[1]
+        full = full_mass_symbol(f)
+        rng = np.random.default_rng(95)
+        full[..., k] += 0.05 * rng.standard_normal(full[..., k].shape) * 1j
+        half = np.ascontiguousarray(full[..., : m // 2 + 1])
+        want = full_field_values(grid, full)
+        self.close(_field_from_symbol(grid, half), want)
+        # the imaginary part reaches the field in d >= 2 and is dropped in 1-d
+        plain = full_field_values(grid, full.real + 1j * full_mass_symbol(f).imag)
+        assert (np.abs(want - plain).max() > 1e-3 * np.abs(want).max()) == (grid.dim > 1)
+
+
 class TestApplyP:
     @pytest.mark.parametrize("grid", [G1, G2, Grid(dim=3, extent=6.0, points_per_axis=16)])
     def test_matches_old_loop(self, grid):
@@ -311,6 +431,7 @@ class TestFunctionals:
 
 def same_as_fsum(x: np.ndarray) -> None:
     assert _exact_sum(x).hex() == math.fsum(x.ravel()).hex()
+    assert _exact_sum(x, absolute=True).hex() == math.fsum(np.abs(x).ravel()).hex()
 
 
 @pytest.fixture
@@ -350,7 +471,29 @@ class TestExactSum:
         rng = np.random.default_rng(1)
         for n in (self.CUT - 1, self.CUT, 3 * self.BLOCK):
             _exact_sum(rng.standard_normal(n))
-        assert fsum_calls == [self.CUT - 1]
+            _exact_sum(rng.standard_normal(n), absolute=True)
+        assert fsum_calls == [self.CUT - 1, self.CUT - 1]
+
+    @pytest.mark.parametrize("m", [256, 1024, 2048, 4096, 16384])
+    def test_l1_norm_across_cutoff(self, m):
+        # mixed signs, on both sides of the cutoff; 16384 values fill two blocks
+        grid = Grid(dim=1, extent=8.0, points_per_axis=m)
+        rng = np.random.default_rng(m)
+        for v in (rng.standard_normal(m), self.wide(rng, m, -1074, 980), -np.abs(self.wide(rng, m))):
+            want = grid.cell_volume * math.fsum(np.abs(v))
+            assert l1_norm(Field(grid, v)).hex() == want.hex()
+
+    def test_l1_norm_makes_no_full_size_copy(self):
+        g = Grid(dim=2, extent=8.0, points_per_axis=512)
+        f = random_smooth_field(g, np.random.default_rng(9))
+        tracemalloc.start()
+        try:
+            l1_norm(f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the kernel's block buffers and lanes, not the 2 MB of |values|
+        assert peak < f.values.nbytes // 4
 
     def test_adversarial_arrays(self):
         rng = np.random.default_rng(2)
@@ -438,15 +581,16 @@ class TestExactSum:
         rng = np.random.default_rng(6)
         for n in (self.BLOCK - 1, self.BLOCK):
             same_as_fsum(self.wide(rng, n))
-        # the oracle's two calls and the fallback's one
-        assert fsum_calls == [self.BLOCK - 1, self.BLOCK, self.BLOCK]
+        # per size and sign mode, the oracle's call and the kernel's; from
+        # the count bound on, the kernel's is the fallback
+        assert fsum_calls == [self.BLOCK - 1] * 2 + [self.BLOCK] * 4
 
     @pytest.mark.parametrize("big", [2.0**996, -(2.0**996), 2.0**1023, -np.inf, np.nan])
     def test_magnitude_fallback(self, big, fsum_calls):
         x = np.random.default_rng(7).standard_normal(self.CUT)
         x[17] = big
         same_as_fsum(x)
-        assert fsum_calls == [self.CUT, self.CUT]
+        assert fsum_calls == [self.CUT] * 4
 
     def test_intermediate_overflow_raises_as_fsum(self):
         x = np.zeros(self.BLOCK)
@@ -455,6 +599,14 @@ class TestExactSum:
             math.fsum(x)
         with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
             _exact_sum(x)
+        # |x| overflows where x does not
+        x[2] = 0.0
+        x[:2] = [2.0**1023, -(2.0**1023)]
+        assert _exact_sum(x) == math.fsum(x) == 0.0
+        with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
+            math.fsum(np.abs(x))
+        with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
+            _exact_sum(x, absolute=True)
 
     def test_callers_match_fsum(self):
         g = Grid(dim=2, extent=8.0, points_per_axis=128)
