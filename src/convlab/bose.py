@@ -9,6 +9,18 @@ symbols (where *^n becomes the n-th power):
 
     ms(u_next) = R_m (ms(V(1-u)) + mu ms(u)^(m+1)).
 
+solve runs that step on buffers it keeps. Each step forms V(1-u) in
+place, takes its forward transform, adds mu S^(m+1), where S is the
+symbol of u carried over from the step before, multiplies by R_m, and
+takes the inverse transform: two transforms per step for every mu. The
+symbol S so formed is carried forward as the symbol of u_next, in place
+of a third transform of u_next; it differs from that transform by
+roundoff. The increment u_next - u is written into the buffer that held
+V(1-u). Its L1 norm and the mass of u_next are the exact sums of
+integral and l1_norm, cell_volume * fsum. An iterate that leaves the
+float range, in a step or in the inverse transform, ends the run as an
+overflow.
+
 The non-negativity argument runs through f = mu^(1/m) R[u]: the
 certificate checks mu^(1/m) integral(u) / xi < 1, f >= *^(m+1) f, and
 u >= 0 on the converged solution, in field space, sharing no code path
@@ -18,15 +30,17 @@ with the step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 from math import inf
 
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .constructor import DEFAULT_MAX_ITER, DEFAULT_TOL, SolveReport, fixed_point
+from .constructor import DEFAULT_MAX_ITER, DEFAULT_TOL, SolveReport, _require_limits
 from .errors import CeilingViolated, InvalidInput
 from .field import Field, Grid, conv_power, integral, l1_norm, min_value
-from .field import _field_from_symbol, _fresh, _k_squared, _mass_symbol
+from .field import _exact_sum, _field_from_symbol, _fresh, _k_squared, _mass_symbol
+from .field import _symbol_of, _transforms, _values_of
 
 
 @dataclass(frozen=True)
@@ -95,7 +109,15 @@ def solve(
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> BoseSolution:
     """Picard iteration ms(u_{k+1}) = R_m (ms(V(1-u_k)) + mu ms(u_k)^(m+1))
-    from u_0 = 0, R_m formed once per solve.
+    from u_0 = 0, R_m formed once per solve, on the buffers and the carried
+    symbol of the module docstring, until the L1 increment drops below tol
+    or max_iter steps have run.
+
+    The report records every L1 increment and every mass (the first being
+    integral(u_0) = 0), whether any step moved a node down by more than
+    the monotone slack, and the residual L1 norm of u - step(u) for the
+    last iterate u, formed by one more step. A step that overflows ends
+    the run unconverged, with residual None and u the last finite iterate.
 
     The smallness guard integral(V)/xi^m < 0.5 keeps the iteration inside
     the empirically contractive regime where the ceiling u <= 1 holds; the
@@ -117,17 +139,68 @@ def solve(
             f"integral(V)/xi^m = {mass_v / xi_m:.3g} >= 0.5; "
             "outside the guarded smallness regime"
         )
-    grid, m, mu = problem.grid, problem.m, problem.mu
+    _require_limits(tol, max_iter)
+    grid, m, mu, v = problem.grid, problem.m, problem.mu, problem.V.values
+    cell_volume = grid.cell_volume
     r_m = _resolvent_symbol(grid, problem.xi, m)
+    # u_0 = 0 and its symbol; work holds V(1-u), then the increment
+    u, work = np.zeros(grid.shape), np.empty(grid.shape)
+    s = np.zeros(r_m.shape, dtype=complex)
 
-    def step(u: Field) -> Field:
-        symbol = _mass_symbol(_fresh(grid, problem.V.values * (1.0 - u.values)))
+    def advance(u: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The successor of u and its symbol, the increment left in work;
+        s, the symbol of u, is overwritten."""
+        np.multiply(v, np.subtract(1.0, u, out=work), out=work)
+        s_next = _symbol_of(grid, work)
         if mu > 0:
-            symbol += mu * _mass_symbol(u) ** (m + 1)
-        symbol *= r_m
-        return _field_from_symbol(grid, symbol)
+            np.power(s, m + 1, out=s)
+            s *= mu
+            s_next += s
+        s_next *= r_m
+        nxt = _values_of(grid, s_next, out=s)
+        np.subtract(nxt, u, out=work)
+        return nxt, s_next
 
-    u, report = fixed_point(step, Field(grid, np.zeros(grid.shape)), tol, max_iter)
+    def increment_norm() -> float | None:
+        """l1_norm of the increment in work; None if it is not finite."""
+        total = _exact_sum(work, absolute=True)
+        return cell_volume * total if math.isfinite(total) else None
+
+    deltas: list[float] = []
+    masses = [0.0]
+    monotone_ok, delta, residual = True, None, None
+    _transforms()  # scipy.fft's first import runs outside the errstate below
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for _ in range(max_iter):
+                nxt, s_next = advance(u, s)
+                if work.min() < -DEFAULT_TOLS.monotone_slack:
+                    monotone_ok = False
+                delta = increment_norm()
+                if delta is None:
+                    break  # the inverse transform left the float range
+                mass = cell_volume * _exact_sum(nxt)
+                deltas.append(delta)
+                masses.append(mass)
+                u, s = nxt, s_next
+                if delta < tol:
+                    break
+            if delta is not None:
+                advance(u, s)
+                residual = increment_norm()
+    except (FloatingPointError, OverflowError):
+        pass  # a diverging step: u is the last finite iterate
+    report = SolveReport(
+        iterations=len(deltas),
+        l1_deltas=tuple(deltas),
+        masses=tuple(masses),
+        final_mass=masses[-1],
+        residual=residual,
+        monotone_ok=monotone_ok,
+        converged=residual is not None and deltas[-1] < tol,
+        tol=tol,
+    )
+    u = _fresh(grid, u)
     mass_u = report.final_mass
     solution = BoseSolution(
         problem=problem,

@@ -33,16 +33,14 @@ construct's report:
   integral(f) was formed (f is None if it could not be, and monotone_ok
   False). final_mass is then the last zero-frequency value.
 
-fixed_point is the general loop, iterating a field-space step; bose
-runs on it, and the tests keep construct's field-space form on it as an
-oracle.
+bose.solve runs its own loop and reports in the same SolveReport. The
+tests keep the field-space form of both loops as oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -94,58 +92,6 @@ def _require_limits(tol: float, max_iter: int) -> None:
         raise InvalidInput(f"max_iter must be >= 1, got {max_iter}")
     if not 0 < tol < math.inf:
         raise InvalidInput(f"tol must be positive and finite, got {tol}")
-
-
-def fixed_point(
-    step: Callable[[Field], Field], start: Field, tol: float, max_iter: int
-) -> tuple[Field, SolveReport]:
-    """Iterate current <- step(current) from start until the L1 increment
-    drops below tol or max_iter steps have run; return the last iterate
-    and its report, converged or not.
-
-    The report records every increment and every mass (the first being
-    integral(start)), whether any step moved a node down by more than
-    the monotone slack, and the residual L1 norm of last - step(last).
-    A step that overflows ends the run unconverged, with residual None
-    and last the final finite iterate.
-    """
-    _require_limits(tol, max_iter)
-    deltas: list[float] = []
-    masses: list[float] = [integral(start)]
-    monotone_ok = True
-    residual = None
-    # The start and each increment are released before the next step, so a
-    # solve holds no more arrays at once than a loop written inline.
-    current = start
-    del start
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            for _ in range(max_iter):
-                nxt = step(current)
-                increment = nxt - current
-                if min_value(increment) < -DEFAULT_TOLS.monotone_slack:
-                    monotone_ok = False
-                delta, mass = l1_norm(increment), integral(nxt)
-                del increment
-                deltas.append(delta)
-                masses.append(mass)
-                current = nxt
-                if delta < tol:
-                    break
-            residual = l1_norm(current - step(current))
-    except (FloatingPointError, OverflowError):
-        pass  # a diverging step: current is the last finite iterate
-    report = SolveReport(
-        iterations=len(deltas),
-        l1_deltas=tuple(deltas),
-        masses=tuple(masses),
-        final_mass=masses[-1],
-        residual=residual,
-        monotone_ok=monotone_ok,
-        converged=residual is not None and deltas[-1] < tol,
-        tol=tol,
-    )
-    return current, report
 
 
 def _iterate_symbol(
@@ -208,7 +154,8 @@ def construct(
     exception.
     """
     psi = _clamped_seed(psi)
-    seed_mass = l1_norm(psi)
+    # psi >= 0 now, so its integral is its L1 norm, up to the sign of a zero
+    seed_mass = integral(psi)
     if seed_mass > p.q_max * (1.0 + DEFAULT_TOLS.seed_mass_slack):
         raise MassTooLarge(
             f"seed mass {seed_mass:.12g} exceeds Q(t_q) = {p.q_max:.12g}"
@@ -216,7 +163,7 @@ def construct(
     _require_limits(tol, max_iter)
     grid = psi.grid
     s = _mass_symbol(psi)
-    s[(0,) * grid.dim] = integral(psi)
+    s[(0,) * grid.dim] = seed_mass
     w, prev, deltas, masses = _iterate_symbol(s, coeffs, tol, max_iter)
     # Each symbol is released as soon as it is no longer read, so the inverse
     # transforms below hold no more complex arrays than the loop did.

@@ -16,6 +16,15 @@ pointwise, so it sees only those entries. Where a symbol on the planes
 k_d = 0 and k_d = M/2 is not Hermitian, irfftn keeps the real part of
 their inverse, as the real part of a full complex inverse would.
 
+scipy.fft is imported by the first transform, not with this module, so a
+command that makes no transform (tq, series, disk) never imports scipy,
+which is most of the cost of importing convlab. A lazy import was tried
+once before and withdrawn: it moved the import behind the first arrays,
+and bose.solve, which then allocated fresh M^d temporaries on every step,
+lost 13 % to page faults on a heap with new holes. bose.solve now runs on
+buffers it keeps. The transforms are looked up on the scipy.fft module
+at call time, so a wrapper set on that module sees every call.
+
 Wrap-around contamination from the R^d-to-torus substitution is the
 caller's risk; aliasing_guard measures the boundary-shell mass so tests
 can assert it is negligible.
@@ -39,7 +48,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft as _sfft
 
 from .config import fft_workers
 from .errors import GridMismatch, InvalidInput, InvalidOrder
@@ -177,32 +185,49 @@ def _k_squared(grid: Grid) -> np.ndarray:
     return norm
 
 
+def _transforms():
+    """The scipy.fft module, imported by the first call (module docstring)."""
+    import scipy.fft
+
+    return scipy.fft
+
+
 def _fftn(a: np.ndarray) -> np.ndarray:
-    return _sfft.rfftn(a, workers=fft_workers())
+    return _transforms().rfftn(a, workers=fft_workers())
 
 
 def _ifftn(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    return _sfft.irfftn(a, s=shape, workers=fft_workers())
+    return _transforms().irfftn(a, s=shape, workers=fft_workers())
 
 
-def _mass_symbol(f: Field) -> np.ndarray:
-    """cell_volume * DFT * phase on the half spectrum, of shape
+def _symbol_of(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """cell_volume * DFT * phase of values on the half spectrum, of shape
     (M,)*(d-1) + (M//2+1,); its value at frequency zero is the mass, and
     products of symbols correspond to convolutions of fields. The phase is
     +-1, so the order of the two scalings does not change a bit."""
-    s = _fftn(f.values)
-    s *= _half_shift_phase(f.grid.dim, f.grid.points_per_axis)
-    s *= f.grid.cell_volume
+    s = _fftn(values)
+    s *= _half_shift_phase(grid.dim, grid.points_per_axis)
+    s *= grid.cell_volume
     return s
 
 
-def _field_from_symbol(grid: Grid, symbol: np.ndarray) -> Field:
-    """The real field of a half-spectrum symbol, by irfftn; where the
-    symbol is not Hermitian it keeps the real part (module docstring)."""
+def _mass_symbol(f: Field) -> np.ndarray:
+    return _symbol_of(f.grid, f.values)
+
+
+def _values_of(grid: Grid, symbol: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The real values of a half-spectrum symbol, by irfftn; where the
+    symbol is not Hermitian they keep the real part (module docstring).
+    symbol * phase is formed in out when it is given, a buffer of the
+    symbol's shape other than symbol. Nothing checks that they are finite."""
     ph = _half_shift_phase(grid.dim, grid.points_per_axis)
-    v = _ifftn(symbol * ph, grid.shape)
+    v = _ifftn(np.multiply(symbol, ph, out=out), grid.shape)
     v /= grid.cell_volume
-    return _fresh(grid, v)
+    return v
+
+
+def _field_from_symbol(grid: Grid, symbol: np.ndarray) -> Field:
+    return _fresh(grid, _values_of(grid, symbol))
 
 
 def convolve(f: Field, g: Field) -> Field:

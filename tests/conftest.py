@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 
 import convlab
-from convlab import CoeffVector, Field, Grid
+from convlab import CoeffVector, Field, Grid, SolveReport, integral, l1_norm, min_value
+from convlab.config import DEFAULT_TOLS
+from convlab.constructor import _require_limits
 
 
 def child_env(**overrides: str) -> dict[str, str]:
@@ -89,3 +91,48 @@ def random_smooth_field(
     if nonneg:
         smooth = smooth - smooth.min()
     return Field(grid, smooth)
+
+
+def fixed_point(step, start: Field, tol: float, max_iter: int):
+    """The field-space Picard loop: iterate current <- step(current) from
+    start until the L1 increment drops below tol or max_iter steps have
+    run; return the last iterate and its SolveReport, converged or not.
+
+    The oracle of construct's symbol loop and of bose.solve. The report
+    records every increment and every mass (the first being
+    integral(start)), whether any step moved a node down by more than the
+    monotone slack, and the residual L1 norm of last - step(last). A step
+    that overflows ends the run unconverged, with residual None and last
+    the final finite iterate.
+    """
+    _require_limits(tol, max_iter)
+    deltas, masses = [], [integral(start)]
+    monotone_ok, residual = True, None
+    current = start
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for _ in range(max_iter):
+                nxt = step(current)
+                increment = nxt - current
+                if min_value(increment) < -DEFAULT_TOLS.monotone_slack:
+                    monotone_ok = False
+                delta, mass = l1_norm(increment), integral(nxt)
+                deltas.append(delta)
+                masses.append(mass)
+                current = nxt
+                if delta < tol:
+                    break
+            residual = l1_norm(current - step(current))
+    except (FloatingPointError, OverflowError):
+        pass  # a diverging step: current is the last finite iterate
+    report = SolveReport(
+        iterations=len(deltas),
+        l1_deltas=tuple(deltas),
+        masses=tuple(masses),
+        final_mass=masses[-1],
+        residual=residual,
+        monotone_ok=monotone_ok,
+        converged=residual is not None and deltas[-1] < tol,
+        tol=tol,
+    )
+    return current, report

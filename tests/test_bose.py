@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -25,9 +26,7 @@ from convlab import (
     resolvent_apply,
     uniform_field,
 )
-from convlab.constructor import fixed_point
-
-from conftest import full_k_squared, random_smooth_field
+from conftest import fixed_point, full_k_squared, random_smooth_field
 
 G = Grid(dim=1, extent=8.0, points_per_axis=256)
 G2 = Grid(dim=2, extent=8.0, points_per_axis=64)
@@ -156,6 +155,7 @@ class TestSolve:
         assert sol.delta == math.inf
         assert sol.hypothesis_value == 0.0
         assert sol.report.converged and sol.report.iterations == 1
+        assert sol.report.monotone_ok
         assert apriori_certificate(sol).passed
 
     def test_smallness_guard(self):
@@ -216,7 +216,79 @@ class TestSolve:
         assert exc.value.field is None
         assert exc.value.report.iterations == 2
         assert not exc.value.report.converged
-        assert "still above tol 1e-10 after 2 iterations" in str(exc.value)
+        assert str(exc.value) == (
+            f"increment {exc.value.report.l1_deltas[-1]:.3e} still above tol 1e-10 after 2 iterations"
+        )
+
+    @pytest.mark.parametrize(
+        "limits",
+        [{"max_iter": 0}, {"max_iter": -1}, {"tol": 0.0}, {"tol": -1e-10}, {"tol": math.nan},
+         {"tol": math.inf}],
+        ids=["max_iter=0", "max_iter=-1", "tol=0", "tol<0", "tol=nan", "tol=inf"],
+    )
+    def test_limits_rejected(self, limits):
+        (name,) = limits
+        with pytest.raises(InvalidInput, match=f"{name} must be"):
+            bose_solve(problem(v_mass=0.3), **limits)
+
+    def test_backsliding_is_flagged(self):
+        # from u_0 = 0 the iterates of the linear equation alternate:
+        # u_2 = u_1 - R[V u_1] lies below u_1
+        prob = problem(v_mass=0.3)
+        sol = bose_solve(prob)
+        _, rep_old = old_solve(prob)
+        assert sol.report.converged
+        assert not sol.report.monotone_ok and not rep_old.monotone_ok
+
+    def test_overflow_ends_the_run(self):
+        # mu = 1e6 all but squares the mass every step (0.3, 9e4, 8.1e15, ...,
+        # 1.9e169), and the seventh step overflows
+        prob = problem(v_mass=0.3, mu=1e6)
+        with pytest.raises(NotConverged) as exc:
+            bose_solve(prob, max_iter=50)
+        rep, u = exc.value.report, exc.value.solution.u
+        _, rep_old = old_solve(prob, max_iter=50)
+        assert not rep.converged and rep.residual is None
+        assert rep.iterations == len(rep.l1_deltas) == rep_old.iterations == 6
+        assert len(rep.masses) == 7 and rep.final_mass == integral(u) > 1e169
+        assert rep.monotone_ok == rep_old.monotone_ok
+        assert np.isfinite(u.values).all()
+        json.dumps(rep.to_json(), allow_nan=False)
+        assert str(exc.value) == "the step overflowed after 6 iterations"
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("where", ["step", "residual"])
+    def test_non_finite_inverse_transform_ends_the_run(self, monkeypatch, bad, where):
+        # an inverse transform that leaves the float range raises nothing in
+        # numpy; the run still ends there as an overflow, keeping the last
+        # finite iterate
+        prob = problem(v_mass=0.3, mu=0.01)
+        done = bose_solve(prob).report.iterations
+        stop = 3 if where == "step" else done
+        if where == "step":
+            with pytest.raises(NotConverged) as exc:
+                bose_solve(prob, max_iter=stop)
+            want = exc.value.solution.u.values
+        else:
+            want = bose_solve(prob).u.values
+        real, calls = scipy.fft.irfftn, []
+
+        def spoiled(*args, **kwargs):
+            out = real(*args, **kwargs)
+            calls.append(1)
+            if len(calls) == stop + 1:
+                out[3] = bad
+            return out
+
+        monkeypatch.setattr(scipy.fft, "irfftn", spoiled)
+        with pytest.raises(NotConverged) as exc:
+            bose_solve(prob)
+        rep = exc.value.report
+        assert not rep.converged and rep.residual is None
+        assert rep.iterations == len(rep.l1_deltas) == stop
+        assert np.array_equal(exc.value.solution.u.values, want)
+        json.dumps(rep.to_json(), allow_nan=False)
+        assert str(exc.value) == f"the step overflowed after {stop} iterations"
 
     @pytest.mark.parametrize("mu,m", [(0.0, 1), (0.01, 1), (0.05, 2)])
     def test_residual_is_integral_form(self, mu, m):
@@ -241,6 +313,7 @@ class TestSolve:
         u_old, rep_old = old_solve(prob)
         assert rep_old.converged
         assert sol.report.iterations == rep_old.iterations
+        assert sol.report.monotone_ok == rep_old.monotone_ok
         scale = np.abs(u_old.values).max()
         assert np.abs(sol.u.values - u_old.values).max() <= 2.0**-49 * scale
 
@@ -254,7 +327,8 @@ class TestSolve:
         got = exc.value.solution.u.values
         assert np.abs(got - u_old.values).max() <= 2.0**-49 * np.abs(u_old.values).max()
 
-    @pytest.mark.parametrize("mu,per_step", [(0.0, 2), (0.05, 3)])
+    # the symbol of u is carried from step to step, so no step transforms u
+    @pytest.mark.parametrize("mu,per_step", [(0.0, 2), (0.05, 2)])
     def test_transforms_per_step(self, monkeypatch, mu, per_step):
         calls = []
         for name in ("rfftn", "irfftn", "fftn", "ifftn"):

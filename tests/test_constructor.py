@@ -27,10 +27,10 @@ from convlab import (
 )
 from convlab import field as field_mod
 from convlab.config import DEFAULT_TOLS
-from convlab.constructor import DEFAULT_MAX_ITER, _iterate_symbol, fixed_point
+from convlab.constructor import DEFAULT_MAX_ITER, _iterate_symbol
 from convlab.qpoly import eval_p
 
-from conftest import random_coeffs
+from conftest import fixed_point, random_coeffs
 
 G = Grid(dim=1, extent=8.0, points_per_axis=256)
 C2 = CoeffVector([1])
@@ -48,6 +48,16 @@ class TestConstruct:
         assert rep.converged and rep.monotone_ok
         assert np.all(f.values == 0.0)
         assert rep.residual == 0.0
+
+    @pytest.mark.parametrize("points", [256, 4096], ids=["fsum", "superaccumulator"])
+    def test_negative_zero_seed(self, points):
+        # the clamp keeps -0.0, and the seed mass is integral(psi) where it
+        # was once l1_norm(psi): both sums give +0.0 here
+        grid = Grid(dim=1, extent=8.0, points_per_axis=points)
+        f, rep = construct(Field(grid, np.full(grid.shape, -0.0)), C2, P2)
+        assert rep.converged and rep.iterations == 1
+        assert [x.hex() for x in rep.masses] == ["0x0.0p+0"] * 2
+        assert f.values.tobytes() == bytes(8 * points)
 
     def test_mass_fixed_point(self):
         # subcritical masses land on the smaller root of s = q + s^2
@@ -248,7 +258,8 @@ class TestSpectralOracle:
 
 
 class TestFixedPoint:
-    # values and cell volume are dyadic, so every iterate below is exact
+    # conftest.fixed_point, the oracle of construct and bose.solve, on steps
+    # whose values and cell volume are dyadic, so every iterate is exact
     GD = Grid(dim=1, extent=16.0, points_per_axis=16)
 
     def ones(self):
