@@ -210,6 +210,7 @@ def _cmd_verify(args) -> int:
     mass_ok = mass <= p.t_q + DEFAULT_TOLS.verify_mass_slack
     payload = {
         "min_slack": slack,
+        "min_value": field.min_value(f),  # reported only: no exit code reads the sign
         "mass": mass,
         "t_q": p.t_q,
         "slack_ok": slack_ok,

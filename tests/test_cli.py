@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from convlab import cli, errors, read_cvlf, uniform_field, write_cvlf
+from convlab import Field, cli, errors, read_cvlf, uniform_field, write_cvlf
 from convlab.cli import main
 from convlab.field import Grid
 
@@ -422,6 +422,18 @@ class TestVerify:
         assert main(["verify", "--coeffs", "1", "--field", "bad.cvlf", "--out", "v.json"]) == 3
         out = read_json(tmp_path / "v.json")
         assert out["slack_ok"] is False
+
+    def test_reports_min_value_of_a_signed_field(self, tmp_path):
+        # f = 0.3/L + (2/L) cos(2 pi x/L) satisfies the grid inequality but
+        # is negative; verify reports its minimum and still exits 0
+        g = Grid(dim=1, extent=16.0, points_per_axis=256)
+        x = g.axis_coords()
+        f = Field(g, 0.3 / 16.0 + (2.0 / 16.0) * np.cos(2.0 * np.pi * x / 16.0))
+        write_cvlf(f, str(tmp_path / "f.cvlf"))
+        assert main(["verify", "--coeffs", "1", "--field", "f.cvlf", "--out", "v.json"]) == 0
+        out = read_strict_json(tmp_path / "v.json")
+        assert out["slack_ok"] and out["mass_ok"]
+        assert out["min_value"] == f.values.min() == pytest.approx(0.3 / 16.0 - 2.0 / 16.0)
 
     @pytest.mark.parametrize(
         "cut",

@@ -9,6 +9,7 @@ import pytest
 import scipy.fft
 
 from convlab import (
+    BoseProblem,
     CoeffVector,
     Field,
     Grid,
@@ -17,6 +18,9 @@ from convlab import (
     InvalidOrder,
     aliasing_guard,
     apply_p,
+    bose_solve,
+    build_poly,
+    construct,
     conv_power,
     convolve,
     delta_field,
@@ -453,7 +457,7 @@ class TestExactSum:
 
     CUT = field_module._FSUM_BELOW
     BLOCK = field_module._BLOCK
-    SIZES = [CUT - 1, CUT, CUT + 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3, 3 * BLOCK]
+    SIZES = [CUT - 1, CUT, CUT + 1, 2047, 2048, 2049, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3, 3 * BLOCK]
 
     @staticmethod
     def wide(rng, n, lo=-1074, hi=995):
@@ -492,7 +496,7 @@ class TestExactSum:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the kernel's block buffers and lanes, not the 2 MB of |values|
+        # the kernel's two block buffers, not the 2 MB of |values|
         assert peak < f.values.nbytes // 4
 
     def test_adversarial_arrays(self):
@@ -538,7 +542,11 @@ class TestExactSum:
 
     def test_signed_zeros(self):
         n = self.BLOCK + 5
-        for x in (np.zeros(n), np.full(n, -0.0), np.where(np.arange(n) % 2, 0.0, -0.0)):
+        # the last cancels to zero at max|x| = 2^-1074, where both ends of
+        # the kernel's interval round to a zero, of opposite signs
+        cancel = np.full(n, -0.0)
+        cancel[:2] = [2.0**-1074, -(2.0**-1074)]
+        for x in (np.zeros(n), np.full(n, -0.0), np.where(np.arange(n) % 2, 0.0, -0.0), cancel):
             same_as_fsum(x)
             assert _exact_sum(x).hex() == "0x0.0p+0"
         same_as_fsum(np.concatenate([np.full(n, -0.0), [-(2.0**-1074)]]))
@@ -576,14 +584,50 @@ class TestExactSum:
         same_as_fsum(a.T)
         same_as_fsum(self.wide(rng, 3 * self.BLOCK)[::3])
 
-    def test_count_fallback(self, monkeypatch, fsum_calls):
-        monkeypatch.setattr(field_module, "_FSUM_FROM_COUNT", self.BLOCK)
-        rng = np.random.default_rng(6)
-        for n in (self.BLOCK - 1, self.BLOCK):
-            same_as_fsum(self.wide(rng, n))
-        # per size and sign mode, the oracle's call and the kernel's; from
-        # the count bound on, the kernel's is the fallback
-        assert fsum_calls == [self.BLOCK - 1] * 2 + [self.BLOCK] * 4
+    def test_bracket_fallback(self, fsum_calls):
+        # an exact tie is a rounding boundary: the kernel's interval holds
+        # it, and fsum rounds it; per sign mode, the kernel's call and the
+        # oracle's
+        n = 2 * self.BLOCK + 7
+        x = np.zeros(n)
+        x[0], x[self.BLOCK + 3] = 1.0, 2.0**-53
+        same_as_fsum(x)
+        assert fsum_calls == [n] * 4
+
+    def test_truncation_loss_is_bracketed(self, fsum_calls):
+        # with max|x| = 1 a unit of N is 2^-79; n - 2 values of just below
+        # one unit each truncate to nothing, which puts N n/2 units below
+        # the tie 1 + 2^-53 while the exact sum is above it
+        n = 2 * self.BLOCK
+        x = np.full(n, (1.0 - 2.0**-12) * 2.0**-79)
+        x[0], x[1] = 1.0, 2.0**-53 - (n // 2) * 2.0**-79
+        same_as_fsum(x)
+        assert fsum_calls == [n] * 4
+        assert _exact_sum(x) == 1.0 + 2.0**-52
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_block_sums_stay_exact(self, sign, fsum_calls):
+        # every value scales to just below 2^40, so both parts of every
+        # value are as large as they can be, in a full block and the next;
+        # near 2^-1000 the scale 2^s is past the float range
+        n = 2 * self.BLOCK
+        for e in (0, -1000, 900):
+            x = np.full(n, sign * np.nextafter(2.0**e, 0.0))
+            x[1::2] = sign * np.nextafter(2.0**e, 0.0) * (1.0 - 2.0**-40)
+            same_as_fsum(x)
+        # every oracle call, and nothing from the kernel
+        assert fsum_calls == [n] * 6
+
+    def test_magnitude_bound(self, fsum_calls):
+        # n max|x| just below 2^1000 takes the kernel, at 2^1000 fsum
+        n = self.CUT
+        x = np.random.default_rng(11).standard_normal(n)
+        x[5] = np.nextafter(2.0**1000 / n, 0.0)
+        same_as_fsum(x)
+        x[5] = 2.0**1000 / n
+        same_as_fsum(x)
+        # the oracle's two calls, then the kernel's two and the oracle's
+        assert fsum_calls == [n] * 6
 
     @pytest.mark.parametrize("big", [2.0**996, -(2.0**996), 2.0**1023, -np.inf, np.nan])
     def test_magnitude_fallback(self, big, fsum_calls):
@@ -607,6 +651,19 @@ class TestExactSum:
             math.fsum(np.abs(x))
         with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
             _exact_sum(x, absolute=True)
+
+    def test_no_fallback_on_solver_data(self, fsum_calls):
+        # the path perfbench measures: every sum here has CUT values or
+        # more, and none of them leaves the kernel for fsum
+        g = Grid(dim=2, extent=8.0, points_per_axis=128)
+        psi = gaussian_field(g, sigma=0.8, mass=0.1)
+        one = CoeffVector([1])
+        construct(psi, one, build_poly(one))
+        g3 = Grid(dim=3, extent=8.0, points_per_axis=32)
+        v = gaussian_field(g3, sigma=1.0, mass=0.1)
+        sol = bose_solve(BoseProblem(m=1, xi=1.0, mu=0.1, V=v, grid=g3))
+        assert sol.report.converged
+        assert fsum_calls == []
 
     def test_callers_match_fsum(self):
         g = Grid(dim=2, extent=8.0, points_per_axis=128)
