@@ -161,9 +161,10 @@ def solve(
         np.subtract(nxt, u, out=work)
         return nxt, s_next
 
-    def increment_norm() -> float | None:
-        """l1_norm of the increment in work; None if it is not finite."""
-        total = _exact_sum(work, absolute=True)
+    def increment_norm(top: float | None = None) -> float | None:
+        """l1_norm of the increment in work, whose max|x| is top if given;
+        None if it is not finite."""
+        total = _exact_sum(work, absolute=True, top=top)
         return cell_volume * total if math.isfinite(total) else None
 
     deltas: list[float] = []
@@ -174,9 +175,10 @@ def solve(
         with np.errstate(over="raise", invalid="raise"):
             for _ in range(max_iter):
                 nxt, s_next = advance(u, s)
-                if work.min() < -DEFAULT_TOLS.monotone_slack:
+                low = work.min()
+                if low < -DEFAULT_TOLS.monotone_slack:
                     monotone_ok = False
-                delta = increment_norm()
+                delta = increment_norm(float(max(-low, work.max())))
                 if delta is None:
                     break  # the inverse transform left the float range
                 mass = cell_volume * _exact_sum(nxt)

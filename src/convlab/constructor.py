@@ -6,13 +6,17 @@ from Psi_0 = psi on mass symbols, where *^n is the n-th power: at every
 frequency it is the scalar recursion w <- s + P(w) from w = s, s the
 symbol of psi with its zero-frequency value set to integral(psi). That is
 the paper's Psi_hat = C(psi_hat), taken to finitely many steps: one
-forward transform before the loop, the inverse transforms after it, and
-no allocation inside it. For seeds with 0 <= psi and integral(psi) <=
-q_max the iterates increase pointwise and their masses converge to the
-smaller fixed point <= t_q of sigma = integral(psi) + P(sigma); that is
-the whole content of the mass bound. Near the critical seed mass q_max
-the contraction factor degrades to 1 and the solver reports failure
-honestly instead of loosening tolerances.
+forward transform before the loop and the inverse transforms after it.
+A frequency whose value repeats bit for bit is frozen: it is equal in the
+last iterate and the one before it, and the loop stops computing it. The
+loop allocates only at steps 2, 4, 8, ..., where it looks for frozen
+frequencies: one flag per frequency and, where it drops them, gathers
+into arrays at most half as long as the last. For seeds with 0 <= psi
+and integral(psi) <= q_max the iterates increase pointwise and their
+masses converge to the smaller fixed point <= t_q of sigma =
+integral(psi) + P(sigma); that is the whole content of the mass bound.
+Near the critical seed mass q_max the contraction factor degrades to 1
+and the solver reports failure honestly instead of loosening tolerances.
 
 construct's report:
 - masses are the zero-frequency values, the first being integral(psi):
@@ -104,26 +108,60 @@ def _iterate_symbol(
     increments and the zero-frequency values. A step that overflows ends
     the run: the last iterate is then the final finite one and the one
     before it None, its buffer having held the overflowed step.
+
+    A frequency whose last two values are equal bit for bit is frozen: the
+    step maps its value to itself from then on. At steps 2, 4, 8, ... the
+    run compares the last two iterates, and when at least half of the
+    frequencies still iterated have frozen, it goes on with the others
+    only, gathered into shorter arrays. Flat index 0, the zero frequency,
+    stays among them until the run stops. The full-size buffers keep the
+    frozen values, which are the same in the last iterate and the one
+    before it; the rest are written back when the run stops.
     """
-    origin = (0,) * s.ndim
-    masses = [float(s[origin].real)]
+    shape, s = s.shape, s.reshape(-1)
+    masses = [float(s[0].real)]
     deltas: list[float] = []
     # Two buffers, swapped each step: the step is written into the older one.
     w, acc = s.copy(), np.empty_like(s)
+    full_w = full_prev = live = None  # set at the first compaction
+    check = 2
     try:
         with np.errstate(over="raise", invalid="raise"):
-            for _ in range(max_iter):
+            for step in range(1, max_iter + 1):
                 _p_of_symbol(w, coeffs, out=acc)
                 acc += s
                 w, acc = acc, w
-                mass = float(w[origin].real)
+                mass = float(w[0].real)
                 deltas.append(mass - masses[-1])
                 masses.append(mass)
                 if deltas[-1] < tol:
                     break
+                if step == check and step < max_iter:
+                    check *= 2
+                    # the bytes of both parts compared: one flag per frequency;
+                    # the zero frequency's flag is set, as it moved by >= tol
+                    moving = np.not_equal(w.view(np.uint64), acc.view(np.uint64))
+                    moving = moving.view(np.uint16)
+                    if 2 * np.count_nonzero(moving) > moving.size:
+                        continue
+                    keep = np.flatnonzero(moving)
+                    if live is None:
+                        full_w, full_prev, live = w, acc, keep
+                    else:
+                        full_w[live] = w
+                        full_prev[live] = w  # equal to acc where frozen
+                        live = live[keep]
+                    # the next step overwrites acc, so it needs no gather
+                    s, w, acc = s[keep], w[keep], np.empty(keep.size, dtype=w.dtype)
     except FloatingPointError:
-        return w, None, deltas, masses
-    return w, acc, deltas, masses
+        acc = None
+    if live is not None:
+        full_w[live] = w
+        w = full_w
+        if acc is not None:
+            full_prev[live] = acc
+            acc = full_prev
+    return w.reshape(shape), None if acc is None else acc.reshape(shape), deltas, masses
 
 
 def _clamped_seed(psi: Field) -> Field:

@@ -250,10 +250,15 @@ def conv_power(f: Field, n: int) -> Field:
 
 
 def _p_of_symbol(t: np.ndarray, coeffs: CoeffVector, out: np.ndarray) -> np.ndarray:
-    """out <- P(t) at every frequency, Horner over CoeffVector.p in place;
-    out must be a buffer of t's shape other than t."""
-    out.fill(0)
-    for ck in reversed(coeffs.p):
+    """out <- P(t) at every frequency, Horner over CoeffVector.p in place
+    from its top nonzero coefficient; out must be a buffer of t's shape
+    other than t. For finite t this is bit for bit the Horner that starts
+    from zero: every product of that zero is a signed zero, which adding
+    the top coefficient turns into exactly that coefficient plus +0j."""
+    p = coeffs.p
+    top = coeffs.n2
+    out.fill(p[top])
+    for ck in reversed(p[:top]):
         out *= t
         if ck:
             out += ck
@@ -278,9 +283,11 @@ _BLOCK = 8192
 _SPLIT = 40  # bits per part: every partial sum of a block of parts is below 2^53
 
 
-def _exact_sum(x: np.ndarray, absolute: bool = False) -> float:
+def _exact_sum(x: np.ndarray, absolute: bool = False, top: float | None = None) -> float:
     """math.fsum(x.ravel()), bit for bit: the exact sum S rounded once; with
     absolute, the same of |x|, taken block by block with no full-size copy.
+    A caller that has read x's extremes passes top = max(-x.min(), x.max())
+    so that they are not read again.
 
     Let top = max|x| and s = 40 - e, where 2^(e-1) <= top < 2^e. Each y,
     x 2^s rounded, is below 2^40 in magnitude. It is exact when s >= 0
@@ -306,7 +313,10 @@ def _exact_sum(x: np.ndarray, absolute: bool = False) -> float:
     """
     x = x.ravel()
     n = x.size
-    top = float(max(-x.min(), x.max())) if n >= _FSUM_BELOW else 0.0
+    if n < _FSUM_BELOW:
+        top = 0.0
+    elif top is None:
+        top = float(max(-x.min(), x.max()))
     if not 0.0 < n * top < _FSUM_FROM_MAGNITUDE:
         return math.fsum(np.abs(x) if absolute else x)
     s = _SPLIT - math.frexp(top)[1]

@@ -136,3 +136,40 @@ def fixed_point(step, start: Field, tol: float, max_iter: int):
         tol=tol,
     )
     return current, report
+
+
+def fill_first_horner(t: np.ndarray, coeffs: CoeffVector, out: np.ndarray) -> np.ndarray:
+    """out <- P(t), Horner over CoeffVector.p in place from out = 0: the
+    form field._p_of_symbol had before it started from the top nonzero
+    coefficient, kept as its oracle."""
+    out.fill(0)
+    for ck in reversed(coeffs.p):
+        out *= t
+        if ck:
+            out += ck
+    return out
+
+
+def full_iterate_symbol(s: np.ndarray, coeffs: CoeffVector, tol: float, max_iter: int):
+    """constructor._iterate_symbol computing every frequency at every step,
+    on fill_first_horner: the oracle of the loop that drops the frozen
+    frequencies. Returns the last iterate, the one before it (None after an
+    overflowed step), the zero-frequency increments and values."""
+    origin = (0,) * s.ndim
+    masses = [float(s[origin].real)]
+    deltas: list[float] = []
+    w, acc = s.copy(), np.empty_like(s)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for _ in range(max_iter):
+                fill_first_horner(w, coeffs, out=acc)
+                acc += s
+                w, acc = acc, w
+                mass = float(w[origin].real)
+                deltas.append(mass - masses[-1])
+                masses.append(mass)
+                if deltas[-1] < tol:
+                    break
+    except FloatingPointError:
+        return w, None, deltas, masses
+    return w, acc, deltas, masses

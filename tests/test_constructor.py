@@ -25,12 +25,13 @@ from convlab import (
     uniqueness_roundtrip,
     verify_inequality,
 )
+from convlab import constructor as constructor_mod
 from convlab import field as field_mod
 from convlab.config import DEFAULT_TOLS
-from convlab.constructor import DEFAULT_MAX_ITER, _iterate_symbol
+from convlab.constructor import DEFAULT_MAX_ITER, DEFAULT_TOL, _iterate_symbol
 from convlab.qpoly import eval_p
 
-from conftest import fixed_point, random_coeffs
+from conftest import fixed_point, full_iterate_symbol, random_coeffs
 
 G = Grid(dim=1, extent=8.0, points_per_axis=256)
 C2 = CoeffVector([1])
@@ -243,8 +244,9 @@ class TestSpectralOracle:
 
     def test_traced_peak_memory(self):
         # the symbol of psi, two iterate buffers and the transforms'
-        # temporaries, all on the half spectrum: measured at 5.73 * 8 M^d
-        # bytes, where full-size complex symbols took 10.02 * 8 M^d
+        # temporaries, all on the half spectrum: measured at 5.20 * 8 M^d
+        # bytes, where full-size complex symbols took 10.02 * 8 M^d; the
+        # shorter arrays of the moving frequencies stay below that peak
         grid = Grid(dim=3, extent=24.0, points_per_axis=32)
         psi = gaussian_field(grid, sigma=0.8, mass=0.5 * P2.q_max)
         tracemalloc.start()
@@ -255,6 +257,74 @@ class TestSpectralOracle:
             tracemalloc.stop()
         assert rep.converged
         assert peak <= 5.9 * 8 * grid.points_per_axis**grid.dim
+
+
+def same_bytes(a, b):
+    return (a is None and b is None) or (
+        a is not None and b is not None and a.shape == b.shape and a.tobytes() == b.tobytes()
+    )
+
+
+class TestFrozenFrequencies:
+    # _iterate_symbol drops the frequencies whose value repeats bit for bit;
+    # conftest.full_iterate_symbol computes every one at every step
+    GRIDS = TestSpectralOracle.GRIDS
+    VECTORS = [CoeffVector(v) for v in ([1], [1, 0], [0, 0, 0, 3], [2, 1, 1, 2])]
+    # some runs stop on a compaction step (2, 4, 8), some just after it
+    MAX_ITERS = (1, 2, 3, 4, 5, 8, 9, DEFAULT_MAX_ITER)
+
+    @staticmethod
+    def spy_sizes(monkeypatch):
+        sizes = []
+        real = constructor_mod._p_of_symbol
+        monkeypatch.setattr(
+            constructor_mod, "_p_of_symbol", lambda t, c, out: sizes.append(t.size) or real(t, c, out)
+        )
+        return sizes
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=["1d", "2d", "3d"])
+    @pytest.mark.parametrize("c", VECTORS, ids=lambda c: ",".join(map(str, c.coeffs)))
+    @pytest.mark.parametrize("frac", [0.3, 0.9])
+    def test_matches_full_loop(self, grid, c, frac, monkeypatch):
+        sizes = self.spy_sizes(monkeypatch)
+        p = build_poly(c)
+        psi = gaussian_field(grid, sigma=0.7, mass=frac * p.q_max)
+        s = field_mod._mass_symbol(psi)
+        s[(0,) * grid.dim] = integral(psi)
+        for max_iter in self.MAX_ITERS:
+            sizes.clear()
+            w, prev, deltas, masses = _iterate_symbol(s, c, DEFAULT_TOL, max_iter)
+            want = full_iterate_symbol(s, c, DEFAULT_TOL, max_iter)
+            assert same_bytes(w, want[0]) and same_bytes(prev, want[1]), max_iter
+            assert deltas == want[2] and masses == want[3], max_iter
+        # the full run left most frequencies behind
+        assert min(sizes) < s.size / 2
+
+    def test_overflow_after_compaction(self, monkeypatch):
+        # every entry but the zero frequency is a fixed point from the first
+        # step on (1e-20 + 1e-40 == 1e-20); the zero frequency runs 2, 6,
+        # 38, ... until its square passes the float range
+        sizes = self.spy_sizes(monkeypatch)
+        s = np.full(4096, 1e-20 + 0.0j)
+        s[0] = 2.0
+        w, prev, deltas, masses = _iterate_symbol(s, C2, 1e-10, 100)
+        want, want_prev, want_deltas, want_masses = full_iterate_symbol(s, C2, 1e-10, 100)
+        assert prev is None and want_prev is None
+        assert same_bytes(w, want)
+        assert deltas == want_deltas and masses == want_masses
+        assert masses[-1] * masses[-1] == math.inf
+        assert sizes[:2] == [4096, 4096] and set(sizes[2:]) == {1}
+
+    def test_work_count(self, monkeypatch):
+        # the loop evaluates P on 12.8 % of iterations x half-spectrum size
+        # here; every frequency at every step would be 100 %
+        sizes = self.spy_sizes(monkeypatch)
+        grid = Grid(dim=2, extent=8.0, points_per_axis=128)
+        psi = gaussian_field(grid, sigma=0.7, mass=0.5 * P2.q_max)
+        _, rep = construct(psi, C2, P2)
+        half_spectrum = 128 * (128 // 2 + 1)
+        assert rep.converged and len(sizes) == rep.iterations
+        assert sum(sizes) <= 0.16 * rep.iterations * half_spectrum
 
 
 class TestFixedPoint:

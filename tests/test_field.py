@@ -41,7 +41,7 @@ from convlab.bose import resolvent_apply
 from convlab.field import _exact_sum, _field_from_symbol, _k_squared, _mass_symbol
 from convlab.witness import MIN_RESOLUTION, PoissonParams, poisson_field
 
-from conftest import full_k_squared, random_smooth_field
+from conftest import fill_first_horner, full_k_squared, random_smooth_field
 
 G1 = Grid(dim=1, extent=8.0, points_per_axis=256)
 G2 = Grid(dim=2, extent=8.0, points_per_axis=64)
@@ -409,6 +409,25 @@ class TestApplyP:
         got = apply_p(f, coeffs)
         assert linf_diff(got, want) <= 1e-12 * (np.abs(want.values).max() + 1.0)
 
+    @pytest.mark.parametrize(
+        "a", [[1], [1, 0], [0, 0, 0, 3], [2, 1, 1, 2], [0, 5, 0, 0], [2**60 + 1, 0, 7]],
+        ids=lambda a: ",".join(map(str, a)),
+    )
+    def test_horner_from_the_top_coefficient(self, a):
+        # every pair of signs of zero in either part, exact zeros, and values
+        # of every size that keeps P(t) finite
+        c = CoeffVector(a)
+        zeros = [complex(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0)]
+        parts = [0.0, -0.0, 1e-300, -2.5e-160, 0.75, -1.0, 3.0e-3]
+        mixed = [complex(x, y) for x in parts for y in parts]
+        rng = np.random.default_rng(sum(a) % 1000)
+        noise = rng.standard_normal(4000) + 1j * rng.standard_normal(4000)
+        t = np.concatenate([zeros, mixed, noise * np.ldexp(1.0, rng.integers(-80, 1, 4000))])
+        with np.errstate(over="raise", invalid="raise"):
+            got = field_module._p_of_symbol(t, c, np.empty_like(t))
+            want = fill_first_horner(t, c, np.empty_like(t))
+        assert got.tobytes() == want.tobytes()
+
 
 class TestFunctionals:
     def test_delta_values(self):
@@ -628,6 +647,17 @@ class TestExactSum:
         same_as_fsum(x)
         # the oracle's two calls, then the kernel's two and the oracle's
         assert fsum_calls == [n] * 6
+
+    @pytest.mark.parametrize("n", [CUT - 1, CUT, BLOCK + 1])
+    def test_top_read_by_the_caller(self, n):
+        # bose.solve passes the max|x| it has read; the sums stay fsum's
+        rng = np.random.default_rng(n)
+        for x in (self.wide(rng, n), rng.standard_normal(n), np.full(n, -0.0)):
+            top = float(max(-x.min(), x.max()))
+            for absolute in (False, True):
+                want = _exact_sum(x, absolute=absolute)
+                assert _exact_sum(x, absolute=absolute, top=top).hex() == want.hex()
+            assert _exact_sum(x, top=top).hex() == math.fsum(x).hex()
 
     @pytest.mark.parametrize("big", [2.0**996, -(2.0**996), 2.0**1023, -np.inf, np.nan])
     def test_magnitude_fallback(self, big, fsum_calls):
