@@ -193,13 +193,11 @@ def solve(
     except (FloatingPointError, OverflowError):
         pass  # a diverging step: u is the last finite iterate
     report = SolveReport(
-        iterations=len(deltas),
         l1_deltas=tuple(deltas),
         masses=tuple(masses),
         final_mass=masses[-1],
         residual=residual,
         monotone_ok=monotone_ok,
-        converged=residual is not None and deltas[-1] < tol,
         tol=tol,
     )
     u = _fresh(grid, u)

@@ -49,7 +49,13 @@ def _emit(payload: dict, path: str | None) -> None:
 
 def _read_field(path: str) -> field.Field:
     with _user_path(path):
-        return field.read_cvlf(path)
+        f = field.read_cvlf(path)
+    try:  # the L1 norm bounds every mass that a command sums from f
+        if field.l1_norm(f) < math.inf:
+            return f
+    except OverflowError:
+        pass
+    raise InvalidInput(f"{path}: the L1 norm of the field is beyond the float range")
 
 
 def _grid_from_args(args) -> field.Grid:
@@ -209,7 +215,7 @@ def _cmd_verify(args) -> int:
     slack_ok = slack >= -DEFAULT_TOLS.verify_slack * max(1.0, field.l1_norm(f))
     mass_ok = mass <= p.t_q + DEFAULT_TOLS.verify_mass_slack
     payload = {
-        "min_slack": slack,
+        "min_slack": slack if math.isfinite(slack) else None,  # P(f) past the float range
         "min_value": field.min_value(f),  # reported only: no exit code reads the sign
         "mass": mass,
         "t_q": p.t_q,

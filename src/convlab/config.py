@@ -8,7 +8,6 @@ solvers take an explicit ``tol`` argument for their own stopping rules.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 
@@ -27,12 +26,3 @@ class Tolerances:
 
 DEFAULT_TOLS = Tolerances()
 
-
-def fft_workers() -> int:
-    """Worker count for FFT calls, capped by the CONVLAB_THREADS env var."""
-    raw = os.environ.get("CONVLAB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)

@@ -60,14 +60,21 @@ DEFAULT_MAX_ITER = 10_000
 
 @dataclass(frozen=True)
 class SolveReport:
-    iterations: int
     l1_deltas: tuple[float, ...]
     masses: tuple[float, ...]
     final_mass: float
     residual: float | None
     monotone_ok: bool
-    converged: bool
     tol: float
+
+    @property
+    def iterations(self) -> int:
+        return len(self.l1_deltas)
+
+    @property
+    def converged(self) -> bool:
+        """The last increment is below tol and no step overflowed."""
+        return self.residual is not None and self.l1_deltas[-1] < self.tol
 
     def to_json(self) -> dict:
         return {
@@ -220,13 +227,11 @@ def construct(
     except (FloatingPointError, OverflowError):
         pass  # past the float range in real space: reported as an overflow
     report = SolveReport(
-        iterations=len(deltas),
         l1_deltas=tuple(deltas),
         masses=tuple(masses),
         final_mass=final_mass,
         residual=residual,
         monotone_ok=floor >= -DEFAULT_TOLS.monotone_slack,
-        converged=residual is not None and deltas[-1] < tol,
         tol=tol,
     )
     if not report.converged:
@@ -234,10 +239,20 @@ def construct(
     return f, report
 
 
+def _minus_p(f: Field, coeffs: CoeffVector) -> Field | None:
+    """f - sum a_n (*^n f), or None when it leaves the float range."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return f - apply_p(f, coeffs)
+    except FloatingPointError:
+        return None
+
+
 def verify_inequality(f: Field, coeffs: CoeffVector) -> tuple[float, float]:
-    """(min slack of f - sum a_n (*^n f), mass of f)."""
-    slack = min_value(f - apply_p(f, coeffs))
-    return slack, integral(f)
+    """(min slack of f - sum a_n (*^n f), mass of f); the slack is -inf
+    when sum a_n (*^n f) or the difference leaves the float range."""
+    g = _minus_p(f, coeffs)
+    return (-math.inf if g is None else min_value(g)), integral(f)
 
 
 def uniqueness_roundtrip(
@@ -254,12 +269,12 @@ def uniqueness_roundtrip(
     from the critical mass the iteration converges geometrically and the
     contract is a distance <= 10 * tol.
     """
-    slack, mass = verify_inequality(f, coeffs)
+    g = _minus_p(f, coeffs)
+    slack = -math.inf if g is None else min_value(g)
     if slack < -tol:
         raise InvalidInput(f"field violates the inequality (slack {slack:.3e} < -{tol})")
-    if mass < 0:
+    if integral(f) < 0:
         raise InvalidInput("field has negative mass")
-    psi = f - apply_p(f, coeffs)
-    psi = Field(psi.grid, np.maximum(psi.values, 0.0))
+    psi = Field(g.grid, np.maximum(g.values, 0.0))
     rebuilt, _ = construct(psi, coeffs, p, tol=tol)
     return l1_norm(f - rebuilt)

@@ -18,12 +18,9 @@ their inverse, as the real part of a full complex inverse would.
 
 scipy.fft is imported by the first transform, not with this module, so a
 command that makes no transform (tq, series, disk) never imports scipy,
-which is most of the cost of importing convlab. A lazy import was tried
-once before and withdrawn: it moved the import behind the first arrays,
-and bose.solve, which then allocated fresh M^d temporaries on every step,
-lost 13 % to page faults on a heap with new holes. bose.solve now runs on
-buffers it keeps. The transforms are looked up on the scipy.fft module
-at call time, so a wrapper set on that module sees every call.
+which is most of the cost of importing convlab. The transforms are
+looked up on the scipy.fft module at call time, so a wrapper set on that
+module sees every call. They run on scipy's default of one worker.
 
 Wrap-around contamination from the R^d-to-torus substitution is the
 caller's risk; aliasing_guard measures the boundary-shell mass so tests
@@ -31,11 +28,11 @@ can assert it is negligible.
 
 Every reduction (integral, l1_norm, aliasing_guard and the renormalisation
 in gaussian_field) is the exact sum of the values rounded once, equal bit
-for bit to math.fsum and so independent of summation order and thread
-count. From 256 values on, _exact_sum pre-rounds (Rump, Ogita and Oishi,
-SIAM J. Sci. Comput. 31, 2008; Demmel and Nguyen, ARITH 2013): it scales
-the values below 2^40, truncates each twice into integer parts whose block
-sums are exact in double precision, and adds those as Python ints. That
+for bit to math.fsum and so independent of summation order. From 256
+values on, _exact_sum pre-rounds (Rump, Ogita and Oishi, SIAM J. Sci.
+Comput. 31, 2008; Demmel and Nguyen, ARITH 2013): it scales the values
+below 2^40, truncates each twice into integer parts whose block sums are
+exact in double precision, and adds those as Python ints. That
 brackets the exact sum in an interval of 4n units of the last part; when
 both ends round to one double, it is fsum's, since rounding is monotone.
 Shorter arrays go to math.fsum, which is faster there, and so do a zero
@@ -53,7 +50,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import fft_workers
 from .errors import GridMismatch, InvalidInput, InvalidOrder
 from .qpoly import CoeffVector
 
@@ -196,20 +192,12 @@ def _transforms():
     return scipy.fft
 
 
-def _fftn(a: np.ndarray) -> np.ndarray:
-    return _transforms().rfftn(a, workers=fft_workers())
-
-
-def _ifftn(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    return _transforms().irfftn(a, s=shape, workers=fft_workers())
-
-
 def _symbol_of(grid: Grid, values: np.ndarray) -> np.ndarray:
     """cell_volume * DFT * phase of values on the half spectrum, of shape
     (M,)*(d-1) + (M//2+1,); its value at frequency zero is the mass, and
     products of symbols correspond to convolutions of fields. The phase is
     +-1, so the order of the two scalings does not change a bit."""
-    s = _fftn(values)
+    s = _transforms().rfftn(values)
     s *= _half_shift_phase(grid.dim, grid.points_per_axis)
     s *= grid.cell_volume
     return s
@@ -225,7 +213,7 @@ def _values_of(grid: Grid, symbol: np.ndarray, out: np.ndarray | None = None) ->
     symbol * phase is formed in out when it is given, a buffer of the
     symbol's shape other than symbol. Nothing checks that they are finite."""
     ph = _half_shift_phase(grid.dim, grid.points_per_axis)
-    v = _ifftn(np.multiply(symbol, ph, out=out), grid.shape)
+    v = _transforms().irfftn(np.multiply(symbol, ph, out=out), s=grid.shape)
     v /= grid.cell_volume
     return v
 
@@ -345,7 +333,7 @@ def _exact_sum(x: np.ndarray, absolute: bool = False, top: float | None = None) 
 
 def integral(f: Field) -> float:
     """Sum of the values times the cell volume; the sum is exactly rounded
-    (equal to math.fsum), whatever the order or thread count."""
+    (equal to math.fsum), whatever the order."""
     return f.grid.cell_volume * _exact_sum(f.values)
 
 

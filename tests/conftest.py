@@ -4,6 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import scipy.fft
 
 import convlab
 from convlab import CoeffVector, Field, Grid, SolveReport, integral, l1_norm, min_value
@@ -19,6 +20,20 @@ def child_env(**overrides: str) -> dict[str, str]:
     rest = os.environ.get("PYTHONPATH")
     path = src + os.pathsep + rest if rest else src
     return dict(os.environ, PYTHONPATH=path, **overrides)
+
+
+def count_transforms(monkeypatch) -> list[str]:
+    """The names of the scipy.fft transforms called from here on, in order."""
+    calls = []
+    for name in ("rfftn", "irfftn", "fftn", "ifftn"):
+        real = getattr(scipy.fft, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, counted)
+    return calls
 
 
 # Exact-rational oracles for the evaluator in convlab.qpoly. Direct power
@@ -126,13 +141,11 @@ def fixed_point(step, start: Field, tol: float, max_iter: int):
     except (FloatingPointError, OverflowError):
         pass  # a diverging step: current is the last finite iterate
     report = SolveReport(
-        iterations=len(deltas),
         l1_deltas=tuple(deltas),
         masses=tuple(masses),
         final_mass=masses[-1],
         residual=residual,
         monotone_ok=monotone_ok,
-        converged=residual is not None and deltas[-1] < tol,
         tol=tol,
     )
     return current, report

@@ -26,7 +26,7 @@ from convlab import (
     resolvent_apply,
     uniform_field,
 )
-from conftest import fixed_point, full_k_squared, random_smooth_field
+from conftest import count_transforms, fixed_point, full_k_squared, random_smooth_field
 
 G = Grid(dim=1, extent=8.0, points_per_axis=256)
 G2 = Grid(dim=2, extent=8.0, points_per_axis=64)
@@ -330,15 +330,7 @@ class TestSolve:
     # the symbol of u is carried from step to step, so no step transforms u
     @pytest.mark.parametrize("mu,per_step", [(0.0, 2), (0.05, 2)])
     def test_transforms_per_step(self, monkeypatch, mu, per_step):
-        calls = []
-        for name in ("rfftn", "irfftn", "fftn", "ifftn"):
-            orig = getattr(scipy.fft, name)
-
-            def counted(*args, _orig=orig, _name=name, **kwargs):
-                calls.append(_name)
-                return _orig(*args, **kwargs)
-
-            monkeypatch.setattr(scipy.fft, name, counted)
+        calls = count_transforms(monkeypatch)
         sol = bose_solve(problem(v_mass=0.3, xi=1.2, mu=mu, m=2))
         # one step per iteration plus the residual's, all real-to-complex
         assert len(calls) == per_step * (sol.report.iterations + 1)

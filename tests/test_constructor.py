@@ -31,7 +31,7 @@ from convlab.config import DEFAULT_TOLS
 from convlab.constructor import DEFAULT_MAX_ITER, DEFAULT_TOL, _iterate_symbol
 from convlab.qpoly import eval_p
 
-from conftest import fixed_point, full_iterate_symbol, random_coeffs
+from conftest import count_transforms, fixed_point, full_iterate_symbol, random_coeffs
 
 G = Grid(dim=1, extent=8.0, points_per_axis=256)
 C2 = CoeffVector([1])
@@ -198,12 +198,7 @@ class TestSpectralOracle:
         assert abs(l1_norm(f - before) - rep.l1_deltas[-1]) <= bound
 
     def test_no_transform_in_the_loop(self, monkeypatch):
-        calls = []
-        for name in ("_fftn", "_ifftn"):
-            real = getattr(field_mod, name)
-            monkeypatch.setattr(
-                field_mod, name, lambda *a, real=real: calls.append(1) or real(*a)
-            )
+        calls = count_transforms(monkeypatch)
         counts = {}
         for frac in (0.1, 0.9):
             calls.clear()
@@ -455,6 +450,16 @@ class TestRoundtrip:
     def test_constructed_self(self):
         f, rep = construct(seed(0.15), C2, P2)
         assert uniqueness_roundtrip(f, C2, P2) <= 10.0 * rep.tol
+
+    def test_one_seed_transform_pair(self, monkeypatch):
+        # f - P(f) is formed once for the slack and the seed: one transform
+        # pair, then construct's five; the same bits as forming it twice
+        f, _ = construct(seed(0.15), C2, P2)
+        psi = f - apply_p(f, C2)
+        rebuilt, _ = construct(Field(G, np.maximum(psi.values, 0.0)), C2, P2)
+        calls = count_transforms(monkeypatch)
+        assert uniqueness_roundtrip(f, C2, P2) == l1_norm(f - rebuilt)
+        assert len(calls) == 7 and set(calls) == {"rfftn", "irfftn"}
 
     def test_random_coeff_self(self):
         rng = np.random.default_rng(92)

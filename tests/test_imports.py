@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+from convlab import Grid, uniform_field, write_cvlf
+
 from conftest import child_env
 
 # Runs convlab.cli as `python -m convlab.cli` would, then reports on stderr
@@ -55,6 +57,16 @@ def test_cold_construct_imports_scipy_on_its_first_transform(tmp_path):
             "--out", "f.cvlf", "--report", "c.json"]
     assert cold(tmp_path, *args) == (0, True)
     assert json.loads((tmp_path / "c.json").read_text())["converged"] is True
+
+
+def test_cold_verify_imports_scipy(tmp_path):
+    # verify forms P(f) where numpy raises on overflow, scipy's first import
+    # included; an error raised there would read as a failed inequality
+    g = Grid(dim=1, extent=8.0, points_per_axis=256)
+    write_cvlf(uniform_field(g, mass=0.2), str(tmp_path / "f.cvlf"))
+    args = ["verify", "--coeffs", "1", "--field", "f.cvlf", "--out", "v.json"]
+    assert cold(tmp_path, *args) == (0, True)
+    assert json.loads((tmp_path / "v.json").read_text())["slack_ok"] is True
 
 
 def test_cold_bose_imports_scipy_outside_the_step_errstate(tmp_path):
