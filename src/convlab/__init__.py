@@ -33,7 +33,6 @@ from .qpoly import (
 from .series import (
     CoeffTable,
     LimitSeries,
-    compose_q,
     iterate_table,
     lagrange_inverse,
     limit_series,
@@ -54,7 +53,6 @@ from .field import (
     gaussian_field,
     integral,
     l1_norm,
-    linf_diff,
     min_value,
     read_cvlf,
     uniform_field,
@@ -94,7 +92,6 @@ __all__ = [
     "eval_p_prime",
     "eval_q_prime",
     "CoeffTable",
-    "compose_q",
     "LimitSeries",
     "iterate_table",
     "limit_series",
@@ -112,7 +109,6 @@ __all__ = [
     "integral",
     "l1_norm",
     "min_value",
-    "linf_diff",
     "aliasing_guard",
     "delta_field",
     "field_from_bytes",

@@ -40,7 +40,7 @@ from .constructor import DEFAULT_MAX_ITER, DEFAULT_TOL, SolveReport, _require_li
 from .errors import CeilingViolated, InvalidInput
 from .field import Field, Grid, conv_power, integral, l1_norm, min_value
 from .field import _exact_sum, _field_from_symbol, _fresh, _k_squared, _mass_symbol
-from .field import _symbol_of, _transforms, _values_of
+from .field import _symbol_of, _values_of
 
 
 @dataclass(frozen=True)
@@ -170,7 +170,6 @@ def solve(
     deltas: list[float] = []
     masses = [0.0]
     monotone_ok, delta, residual = True, None, None
-    _transforms()  # scipy.fft's first import runs outside the errstate below
     try:
         with np.errstate(over="raise", invalid="raise"):
             for _ in range(max_iter):

@@ -47,12 +47,14 @@ def _emit(payload: dict, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _read_field(path: str) -> field.Field:
+def _read_field(path: str) -> tuple[field.Field, float]:
+    """The field stored at path and its L1 norm."""
     with _user_path(path):
         f = field.read_cvlf(path)
     try:  # the L1 norm bounds every mass that a command sums from f
-        if field.l1_norm(f) < math.inf:
-            return f
+        norm = field.l1_norm(f)
+        if norm < math.inf:
+            return f, norm
     except OverflowError:
         pass
     raise InvalidInput(f"{path}: the L1 norm of the field is beyond the float range")
@@ -67,7 +69,7 @@ def _parse_field_spec(spec: str, grid: field.Grid) -> field.Field:
     'file:<path.cvlf>'."""
     kind, _, rest = spec.partition(":")
     if kind == "file":
-        f = _read_field(rest)
+        f, _ = _read_field(rest)
         if f.grid != grid:
             raise GridMismatch(f"{rest} holds a {f.grid}, expected {grid}")
         return f
@@ -161,9 +163,8 @@ def _cmd_construct(args) -> int:
         return 3
     if args.out:
         _write_field(result, args.out)
-    slack, mass = constructor.verify_inequality(result, coeffs)
     payload = report.to_json()
-    payload.update({"min_slack": slack, "mass": mass, "t_q": p.t_q})
+    payload.update({"min_slack": report.min_slack, "mass": report.final_mass, "t_q": p.t_q})
     _emit(payload, args.report)
     return 0
 
@@ -210,9 +211,9 @@ def _cmd_bose(args) -> int:
 def _cmd_verify(args) -> int:
     coeffs = CoeffVector.parse(args.coeffs)
     p = build_poly(coeffs)
-    f = _read_field(args.field)
+    f, norm = _read_field(args.field)
     slack, mass = constructor.verify_inequality(f, coeffs)
-    slack_ok = slack >= -DEFAULT_TOLS.verify_slack * max(1.0, field.l1_norm(f))
+    slack_ok = slack >= -DEFAULT_TOLS.verify_slack * max(1.0, norm)
     mass_ok = mass <= p.t_q + DEFAULT_TOLS.verify_mass_slack
     payload = {
         "min_slack": slack if math.isfinite(slack) else None,  # P(f) past the float range

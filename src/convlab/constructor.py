@@ -29,13 +29,15 @@ construct's report:
   iterates never exist: min(Psi_J - Psi_{J-1}) and min(f - psi) are both
   >= -monotone_slack. Given it, the last increment's L1 norm is within
   2 monotone_slack L^d of l1_deltas[-1], to roundoff.
-- residual is l1_norm(f - (psi + apply_p(f))) in real space, the check of
-  the fixed point that shares no step with the loop.
+- residual is l1_norm((f - P(f)) - psi) in real space, the check of the
+  fixed point that shares no step with the loop; P(f) = sum a_n (*^n f).
+- min_slack is min(f - P(f)), the slack of the inequality at f, from the
+  same f - P(f): _minus_p is the one place where it is formed.
 - residual is None exactly when the run overflowed: in a step, which
   leaves the last finite iterate and overwrites its predecessor (so
-  monotone_ok checks f - psi alone), or while f, the residual or
-  integral(f) was formed (f is None if it could not be, and monotone_ok
-  False). final_mass is then the last zero-frequency value.
+  monotone_ok checks f - psi alone), or while f, f - P(f), the residual
+  or integral(f) was formed (f is None if it could not be, and
+  monotone_ok False). final_mass is then the last zero-frequency value.
 
 bose.solve runs its own loop and reports in the same SolveReport. The
 tests keep the field-space form of both loops as oracles.
@@ -66,6 +68,7 @@ class SolveReport:
     residual: float | None
     monotone_ok: bool
     tol: float
+    min_slack: float | None = None  # set by construct; not in to_json
 
     @property
     def iterations(self) -> int:
@@ -213,7 +216,7 @@ def construct(
     # Each symbol is released as soon as it is no longer read, so the inverse
     # transforms below hold no more complex arrays than the loop did.
     del s
-    f, floor, final_mass, residual = None, -math.inf, masses[-1], None
+    f, floor, final_mass, residual, slack = None, -math.inf, masses[-1], None, None
     try:
         with np.errstate(over="raise", invalid="raise"):
             f = _field_from_symbol(grid, w)
@@ -222,8 +225,9 @@ def construct(
             if prev is not None:
                 floor = min(floor, min_value(f - _field_from_symbol(grid, prev)))
                 del prev
-                res = l1_norm(f - (psi + apply_p(f, coeffs)))
-                final_mass, residual = integral(f), res
+                g, slack = _minus_p(f, coeffs)
+                if g is not None:
+                    final_mass, residual = integral(f), l1_norm(g - psi)
     except (FloatingPointError, OverflowError):
         pass  # past the float range in real space: reported as an overflow
     report = SolveReport(
@@ -233,26 +237,28 @@ def construct(
         residual=residual,
         monotone_ok=floor >= -DEFAULT_TOLS.monotone_slack,
         tol=tol,
+        min_slack=slack,
     )
     if not report.converged:
         raise report.not_converged(field=f)
     return f, report
 
 
-def _minus_p(f: Field, coeffs: CoeffVector) -> Field | None:
-    """f - sum a_n (*^n f), or None when it leaves the float range."""
+def _minus_p(f: Field, coeffs: CoeffVector) -> tuple[Field | None, float]:
+    """(g, min(g)) for g = f - sum a_n (*^n f), or (None, -inf) when
+    sum a_n (*^n f) or the difference leaves the float range."""
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return f - apply_p(f, coeffs)
+            g = f - apply_p(f, coeffs)
     except FloatingPointError:
-        return None
+        return None, -math.inf
+    return g, min_value(g)
 
 
 def verify_inequality(f: Field, coeffs: CoeffVector) -> tuple[float, float]:
     """(min slack of f - sum a_n (*^n f), mass of f); the slack is -inf
     when sum a_n (*^n f) or the difference leaves the float range."""
-    g = _minus_p(f, coeffs)
-    return (-math.inf if g is None else min_value(g)), integral(f)
+    return _minus_p(f, coeffs)[1], integral(f)
 
 
 def uniqueness_roundtrip(
@@ -269,8 +275,7 @@ def uniqueness_roundtrip(
     from the critical mass the iteration converges geometrically and the
     contract is a distance <= 10 * tol.
     """
-    g = _minus_p(f, coeffs)
-    slack = -math.inf if g is None else min_value(g)
+    g, slack = _minus_p(f, coeffs)
     if slack < -tol:
         raise InvalidInput(f"field violates the inequality (slack {slack:.3e} < -{tol})")
     if integral(f) < 0:

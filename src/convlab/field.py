@@ -346,11 +346,6 @@ def min_value(f: Field) -> float:
     return float(f.values.min())
 
 
-def linf_diff(f: Field, g: Field) -> float:
-    _require_same_grid(f, g)
-    return float(np.abs(f.values - g.values).max())
-
-
 def aliasing_guard(f: Field, shell_fraction: float) -> float:
     """Fraction of the L1 mass sitting within shell_fraction * L of the
     box boundary; > 1e-6 suggests wrap-around contamination."""

@@ -166,15 +166,6 @@ def lagrange_inverse(coeffs: CoeffVector, L: int) -> LimitSeries:
     return LimitSeries(coeffs=coeffs, c=tuple(c))
 
 
-def compose_q(series: LimitSeries) -> list[int]:
-    """Coefficients of Q(C(s)) up to the series length; the inverse-series
-    identity says this is exactly [0, 1, 0, ..., 0]."""
-    L = len(series.c)
-    cpoly = [0] + list(series.c)
-    comp = _apply_p_poly(series.coeffs, cpoly, L)
-    return [cv - pv for cv, pv in zip(cpoly, comp)]
-
-
 def mass_bound_certificate(table: CoeffTable, p: PolyQ) -> list[float]:
     """Per-row sums s_j = sum_l m_{j,l} q_max^l.
 

@@ -10,6 +10,8 @@ import convlab
 from convlab import CoeffVector, Field, Grid, SolveReport, integral, l1_norm, min_value
 from convlab.config import DEFAULT_TOLS
 from convlab.constructor import _require_limits
+from convlab.field import _require_same_grid
+from convlab.series import LimitSeries, _apply_p_poly
 
 
 def child_env(**overrides: str) -> dict[str, str]:
@@ -56,6 +58,21 @@ def eval_q_exact(coeffs: CoeffVector, t: Fraction) -> Fraction:
 
 def eval_q_prime_exact(coeffs: CoeffVector, t: Fraction) -> Fraction:
     return 1 - eval_p_prime_exact(coeffs, t)
+
+
+def compose_q(series: LimitSeries) -> list[int]:
+    """Coefficients of Q(C(s)) up to the series length; the inverse-series
+    identity says this is exactly [0, 1, 0, ..., 0]."""
+    L = len(series.c)
+    cpoly = [0] + list(series.c)
+    comp = _apply_p_poly(series.coeffs, cpoly, L)
+    return [cv - pv for cv, pv in zip(cpoly, comp)]
+
+
+def linf_diff(f: Field, g: Field) -> float:
+    """max |f - g| over the nodes of a common grid."""
+    _require_same_grid(f, g)
+    return float(np.abs(f.values - g.values).max())
 
 
 def certificate_vectors() -> list[CoeffVector]:

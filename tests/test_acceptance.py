@@ -31,7 +31,6 @@ from convlab import (
     l1_norm,
     lagrange_inverse,
     limit_series,
-    linf_diff,
     mass_bound_certificate,
     min_value,
     poisson_field,
@@ -43,7 +42,7 @@ from convlab import (
 )
 from convlab.qpoly import eval_p
 
-from conftest import random_coeffs, random_smooth_field
+from conftest import linf_diff, random_coeffs, random_smooth_field
 
 from test_bose import dense_solution
 

@@ -9,11 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from convlab import Field, cli, errors, read_cvlf, uniform_field, write_cvlf
+from convlab import (
+    CoeffVector, Field, cli, errors, read_cvlf, uniform_field, verify_inequality, write_cvlf,
+)
 from convlab.cli import main
 from convlab.field import Grid
 
-from conftest import child_env
+from conftest import child_env, count_transforms
 
 GRID_ARGS = ["--dim", "1", "--extent", "8", "--points", "256"]
 
@@ -227,6 +229,20 @@ class TestConstructVerify:
         out = json.loads(capsys.readouterr().out)
         assert out["slack_ok"] is True and out["mass_ok"] is True
         assert out["mass"] == pytest.approx(rep["mass"], rel=1e-12)
+
+    def test_one_pass_over_f_minus_p_f(self, tmp_path, monkeypatch):
+        # the seed's forward transform, the last two iterates back and one
+        # pair for f - P(f), which gives both the residual and min_slack;
+        # forming P(f) again for the slack made 7
+        calls = count_transforms(monkeypatch)
+        argv = ["construct", "--coeffs", "1,1", *GRID_ARGS,
+                "--psi", "gaussian:sigma=0.5,mass=0.1", "--out", "f.cvlf", "--report", "r.json"]
+        assert main(argv) == 0
+        assert len(calls) == 5
+        rep = read_strict_json(tmp_path / "r.json")
+        slack, mass = verify_inequality(read_cvlf("f.cvlf"), CoeffVector([1, 1]))
+        assert rep["min_slack"].hex() == slack.hex()
+        assert rep["mass"].hex() == mass.hex() == rep["final_mass"].hex()
 
     def test_nonconvergent_exit_and_diagnostics(self, tmp_path):
         code = main(
@@ -447,6 +463,17 @@ class TestVerify:
         write_cvlf(Field(g, np.full(g.shape, 1e308)), str(tmp_path / "f.cvlf"))
         assert main(argv) == 2
         assert "L1 norm of the field is beyond the float range" in capsys.readouterr().err
+
+    def test_two_exact_sums(self, tmp_path, monkeypatch):
+        # the L1 norm, taken once where the field is read, and the mass
+        g = Grid(dim=1, extent=8.0, points_per_axis=256)
+        write_cvlf(uniform_field(g, mass=0.2), str(tmp_path / "f.cvlf"))
+        sums = []
+        real = cli.field._exact_sum
+        monkeypatch.setattr(cli.field, "_exact_sum", lambda *a, **k: sums.append(1) or real(*a, **k))
+        assert main(["verify", "--coeffs", "1", "--field", "f.cvlf", "--out", "v.json"]) == 0
+        assert len(sums) == 2
+        assert read_strict_json(tmp_path / "v.json")["slack_ok"] is True
 
     def test_reports_min_value_of_a_signed_field(self, tmp_path):
         # f = 0.3/L + (2/L) cos(2 pi x/L) satisfies the grid inequality but

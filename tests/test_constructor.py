@@ -20,7 +20,6 @@ from convlab import (
     integral,
     iterate_table,
     l1_norm,
-    linf_diff,
     uniform_field,
     uniqueness_roundtrip,
     verify_inequality,
@@ -31,7 +30,7 @@ from convlab.config import DEFAULT_TOLS
 from convlab.constructor import DEFAULT_MAX_ITER, DEFAULT_TOL, _iterate_symbol
 from convlab.qpoly import eval_p
 
-from conftest import count_transforms, fixed_point, full_iterate_symbol, random_coeffs
+from conftest import count_transforms, fixed_point, full_iterate_symbol, linf_diff, random_coeffs
 
 G = Grid(dim=1, extent=8.0, points_per_axis=256)
 C2 = CoeffVector([1])
@@ -108,9 +107,9 @@ class TestConstruct:
             assert rep.converged
             assert rep.residual <= 10.0 * rep.tol
             assert l1_norm(f) <= p.t_q * (1.0 + 1e-9)
-            # the same residual in the other order of subtraction: equal
-            # up to one rounding per node in each of the two expressions
-            other = l1_norm(psi - (f - apply_p(f, c)))
+            # the residual in the other order of subtraction, f - (psi +
+            # P(f)): equal up to one rounding per node in each expression
+            other = l1_norm(f - (psi + apply_p(f, c)))
             bound = 2.0**-52 * (l1_norm(psi) + 2.0 * l1_norm(f))
             assert abs(rep.residual - other) <= bound
 
@@ -186,6 +185,8 @@ class TestSpectralOracle:
         assert linf_diff(f, want) <= self.REL_LINF * np.abs(want.values).max()
         assert rep.masses == scalar_masses(integral(psi), c, rep.iterations + 1)
         assert rep.final_mass == integral(f)
+        assert rep.min_slack == verify_inequality(f, c)[0]
+        assert "min_slack" not in rep.to_json()
         # min(Psi_J - Psi_{J-1}) >= -slack bounds the negative part of the
         # last increment, whose integral is l1_deltas[-1]
         if rep.iterations > 1:
@@ -205,7 +206,8 @@ class TestSpectralOracle:
             _, rep = construct(seed(frac * P2.q_max), C2, P2)
             counts[rep.iterations] = len(calls)
         # the seed's forward transform, Psi_J and Psi_{J-1} back, and the
-        # residual's apply_p pair, whatever the iteration count
+        # pair of f - P(f), for the residual and min_slack, whatever the
+        # iteration count
         assert len(counts) == 2 and set(counts.values()) == {5}
 
     def test_diverging_symbol_keeps_last_finite_iterate(self):

@@ -29,7 +29,6 @@ from convlab import (
     gaussian_field,
     integral,
     l1_norm,
-    linf_diff,
     min_value,
     read_cvlf,
     uniform_field,
@@ -41,7 +40,7 @@ from convlab.bose import resolvent_apply
 from convlab.field import _exact_sum, _field_from_symbol, _k_squared, _mass_symbol
 from convlab.witness import MIN_RESOLUTION, PoissonParams, poisson_field
 
-from conftest import fill_first_horner, full_k_squared, random_smooth_field
+from conftest import fill_first_horner, full_k_squared, linf_diff, random_smooth_field
 
 G1 = Grid(dim=1, extent=8.0, points_per_axis=256)
 G2 = Grid(dim=2, extent=8.0, points_per_axis=64)

@@ -69,9 +69,9 @@ def test_cold_verify_imports_scipy(tmp_path):
     assert json.loads((tmp_path / "v.json").read_text())["slack_ok"] is True
 
 
-def test_cold_bose_imports_scipy_outside_the_step_errstate(tmp_path):
-    # the first transform is inside bose.solve's loop, where numpy raises on
-    # overflow; the import runs before it, so only a step can overflow
+def test_cold_bose_imports_scipy(tmp_path):
+    # bose.solve's first transform, and with it scipy's first import, runs
+    # inside the step, where numpy raises on overflow
     args = ["bose", "--V", "gaussian:sigma=0.6,mass=0.3", "--mu", "0.01", *GRID,
             "--report", "b.json"]
     assert cold(tmp_path, *args) == (0, True)

@@ -12,7 +12,6 @@ from convlab import (
     InvalidCoefficients,
     PolyQ,
     build_poly,
-    compose_q,
     iterate_table,
     lagrange_inverse,
     limit_series,
@@ -21,7 +20,7 @@ from convlab import (
 )
 from convlab.qpoly import derivative
 from convlab.series import _apply_p_poly, _trunc_mul
-from conftest import certificate_vectors, eval_p_exact, random_coeffs
+from conftest import certificate_vectors, compose_q, eval_p_exact, random_coeffs
 
 CATALAN = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786)
 
