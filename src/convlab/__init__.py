@@ -8,28 +8,9 @@ non-negativity certificate.
 
 __version__ = "0.1.0"
 
-from .errors import (
-    CeilingViolated,
-    ConvergenceFailure,
-    ConvlabError,
-    DecayGuard,
-    GridMismatch,
-    InvalidCoefficients,
-    InvalidInput,
-    InvalidOrder,
-    MassTooLarge,
-    NotConverged,
-)
+from .errors import CeilingViolated, ConvergenceFailure, ConvlabError, InvalidInput, NotConverged
 from .config import DEFAULT_TOLS, Tolerances
-from .qpoly import (
-    CoeffVector,
-    PolyQ,
-    build_poly,
-    eval_p,
-    eval_p_prime,
-    eval_q,
-    eval_q_prime,
-)
+from .qpoly import CoeffVector, PolyQ, build_poly, eval_p, eval_q
 from .series import (
     CoeffTable,
     LimitSeries,
@@ -74,13 +55,8 @@ __all__ = [
     "__version__",
     "ConvlabError",
     "InvalidInput",
-    "InvalidCoefficients",
-    "GridMismatch",
-    "InvalidOrder",
-    "MassTooLarge",
     "NotConverged",
     "ConvergenceFailure",
-    "DecayGuard",
     "CeilingViolated",
     "Tolerances",
     "DEFAULT_TOLS",
@@ -89,8 +65,6 @@ __all__ = [
     "build_poly",
     "eval_q",
     "eval_p",
-    "eval_p_prime",
-    "eval_q_prime",
     "CoeffTable",
     "LimitSeries",
     "iterate_table",

@@ -23,8 +23,7 @@ from . import __version__
 from . import bose as bose_mod
 from . import constructor, disk, field, series, witness
 from .config import DEFAULT_TOLS
-from .errors import CeilingViolated, ConvergenceFailure, ConvlabError, GridMismatch
-from .errors import InvalidInput, NotConverged
+from .errors import CeilingViolated, ConvergenceFailure, ConvlabError, InvalidInput, NotConverged
 from .ioutil import atomic_write_text
 from .qpoly import CoeffVector, build_poly
 
@@ -71,7 +70,7 @@ def _parse_field_spec(spec: str, grid: field.Grid) -> field.Field:
     if kind == "file":
         f, _ = _read_field(rest)
         if f.grid != grid:
-            raise GridMismatch(f"{rest} holds a {f.grid}, expected {grid}")
+            raise InvalidInput(f"{rest} holds a {f.grid}, expected {grid}")
         return f
     params = {}
     if rest:
@@ -135,7 +134,7 @@ def _cmd_series(args) -> int:
 
 def _cmd_disk(args) -> int:
     p = build_poly(CoeffVector.parse(args.coeffs))
-    report = disk.disk_scan(p, pair_samples=args.pairs, rng_seed=args.seed)
+    report = disk.disk_scan(p)
     certified = (
         report.sup_p_prime < 1.0
         and report.sup_p_over_z < 1.0
@@ -280,8 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
         "sampled injectivity of Q",
     )
     _add_coeffs(sp)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--pairs", type=int, default=10_000)
     sp.add_argument("--out", default=None)
     sp.set_defaults(handler=_cmd_disk)
 

@@ -51,7 +51,7 @@ import math
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .errors import InvalidInput, MassTooLarge, NotConverged
+from .errors import InvalidInput, NotConverged
 from .field import Field, apply_p, integral, l1_norm, min_value
 from .field import _field_from_symbol, _mass_symbol, _p_of_symbol
 from .qpoly import CoeffVector, PolyQ
@@ -106,6 +106,11 @@ def _require_limits(tol: float, max_iter: int) -> None:
         raise InvalidInput(f"max_iter must be >= 1, got {max_iter}")
     if not 0 < tol < math.inf:
         raise InvalidInput(f"tol must be positive and finite, got {tol}")
+
+
+def _require_poly(coeffs: CoeffVector, p: PolyQ) -> None:
+    if p.coeffs != coeffs:
+        raise InvalidInput("polynomial built from different coefficients")
 
 
 def _iterate_symbol(
@@ -196,16 +201,17 @@ def construct(
     when the zero-frequency increment drops below tol. The report follows
     the contract in the module docstring.
 
-    Raises MassTooLarge when the seed mass exceeds q_max (the iteration
-    can diverge beyond it) and NotConverged when max_iter runs out or a
-    step overflows, with the last iterate and its report attached to the
-    exception.
+    Raises InvalidInput when p was built from other coefficients or the
+    seed mass exceeds q_max (the iteration can diverge beyond it), and
+    NotConverged when max_iter runs out or a step overflows, with the last
+    iterate and its report attached to the exception.
     """
+    _require_poly(coeffs, p)
     psi = _clamped_seed(psi)
     # psi >= 0 now, so its integral is its L1 norm, up to the sign of a zero
     seed_mass = integral(psi)
     if seed_mass > p.q_max * (1.0 + DEFAULT_TOLS.seed_mass_slack):
-        raise MassTooLarge(
+        raise InvalidInput(
             f"seed mass {seed_mass:.12g} exceeds Q(t_q) = {p.q_max:.12g}"
         )
     _require_limits(tol, max_iter)
@@ -275,6 +281,7 @@ def uniqueness_roundtrip(
     from the critical mass the iteration converges geometrically and the
     contract is a distance <= 10 * tol.
     """
+    _require_poly(coeffs, p)
     g, slack = _minus_p(f, coeffs)
     if slack < -tol:
         raise InvalidInput(f"field violates the inequality (slack {slack:.3e} < -{tol})")

@@ -6,23 +6,7 @@ class ConvlabError(Exception):
 
 
 class InvalidInput(ConvlabError, ValueError):
-    """Input refused where it enters the package; a ValueError too."""
-
-
-class InvalidCoefficients(ConvlabError):
-    """Coefficient vector violates its invariants (empty, negative, or all zero)."""
-
-
-class GridMismatch(ConvlabError):
-    """Two fields that must share a grid do not."""
-
-
-class InvalidOrder(ConvlabError):
-    """Convolution power requested with order below 1."""
-
-
-class MassTooLarge(ConvlabError):
-    """Seed mass exceeds the admissible bound Q(t_Q); the iteration may diverge."""
+    """Every refusal of an input where it enters the package; a ValueError too."""
 
 
 class NotConverged(ConvlabError):
@@ -41,11 +25,6 @@ class NotConverged(ConvlabError):
 
 class ConvergenceFailure(ConvlabError):
     """A root finder failed to meet its residual contract."""
-
-
-class DecayGuard(ConvlabError):
-    """Witness scale under-resolved: t * M / L, the scale t in grid spacings,
-    below the witness threshold."""
 
 
 class CeilingViolated(ConvlabError):

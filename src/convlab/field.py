@@ -50,7 +50,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import GridMismatch, InvalidInput, InvalidOrder
+from .errors import InvalidInput
 from .qpoly import CoeffVector
 
 CVLF_MAGIC = b"CVLF"
@@ -157,7 +157,7 @@ def _fresh(grid: Grid, values: np.ndarray) -> Field:
 
 def _require_same_grid(f: Field, g: Field) -> None:
     if f.grid != g.grid:
-        raise GridMismatch(f"grids differ: {f.grid} vs {g.grid}")
+        raise InvalidInput(f"grids differ: {f.grid} vs {g.grid}")
 
 
 @lru_cache(maxsize=32)
@@ -231,7 +231,7 @@ def convolve(f: Field, g: Field) -> Field:
 def conv_power(f: Field, n: int) -> Field:
     """n-fold self-convolution with one transform pair."""
     if n < 1:
-        raise InvalidOrder(f"convolution power needs n >= 1, got {n}")
+        raise InvalidInput(f"convolution power needs n >= 1, got {n}")
     if n == 1:
         return f
     return _field_from_symbol(f.grid, _mass_symbol(f) ** n)

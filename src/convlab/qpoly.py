@@ -12,10 +12,10 @@ derivative() for the rest. Other modules apply P through this layout,
 never by degree: field.apply_p by Horner over P on mass symbols, series
 by Horner over P on truncated power series and reciprocal_qprime through
 P'. Two evaluators read the layout here. _horner is the float Horner, at
-real or complex x, behind eval_* and disk's roots and residuals. _exact_at
-is exact: every certified number rests on it, the signs of Q' that prove
-t_q here, and the disk sups P'(r), P(r)/r and the mass-certificate rows,
-each rounded once.
+real or complex x, behind eval_p, eval_q and disk's roots and residuals.
+_exact_at is exact: every certified number rests on it, the signs of Q'
+that prove t_q here, and the disk sups P'(r), P(r)/r and the
+mass-certificate rows, each rounded once.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InvalidCoefficients
+from .errors import InvalidInput
 
 
 @dataclass(frozen=True)
@@ -38,15 +38,15 @@ class CoeffVector:
 
     def _validate(self) -> None:
         if len(self.coeffs) < 1:
-            raise InvalidCoefficients("need at least a_2 (degree N >= 2)")
+            raise InvalidInput("need at least a_2 (degree N >= 2)")
         if any(a < 0 for a in self.coeffs):
-            raise InvalidCoefficients(f"negative coefficient in {self.coeffs}")
+            raise InvalidInput(f"negative coefficient in {self.coeffs}")
         if all(a == 0 for a in self.coeffs):
-            raise InvalidCoefficients("all coefficients zero")
+            raise InvalidInput("all coefficients zero")
         try:  # bounds every n a_n that a float path converts
             float(sum(n * a for n, a in enumerate(self.coeffs, start=2)))
         except OverflowError:
-            raise InvalidCoefficients("sum n a_n exceeds the float range") from None
+            raise InvalidInput("sum n a_n exceeds the float range") from None
 
     @property
     def n2(self) -> int:
@@ -70,11 +70,11 @@ class CoeffVector:
         entry."""
         parts = [p.strip() for p in text.split(",")]
         if not all(p.isascii() and p.isdigit() for p in parts):
-            raise InvalidCoefficients(f"cannot parse coefficients {text!r}")
+            raise InvalidInput(f"cannot parse coefficients {text!r}")
         try:
             values = [int(p) for p in parts]
         except ValueError as exc:  # beyond int()'s digit limit
-            raise InvalidCoefficients(f"cannot parse coefficients {text!r}") from exc
+            raise InvalidInput(f"cannot parse coefficients {text!r}") from exc
         return cls(values)
 
 
@@ -85,26 +85,13 @@ class PolyQ:
     q_max: float
 
 
-def eval_p(p: PolyQ | CoeffVector, t: float) -> float:
+def eval_p(coeffs: CoeffVector, t: float) -> float:
     """P(t) = sum a_n t^n."""
-    return _horner(_coeffs_of(p).p, t)
+    return _horner(coeffs.p, t)
 
 
-def eval_p_prime(p: PolyQ | CoeffVector, t: float) -> float:
-    """P'(t) = sum n a_n t^(n-1)."""
-    return _horner(derivative(_coeffs_of(p).p), t)
-
-
-def eval_q(p: PolyQ | CoeffVector, t: float) -> float:
-    return t - eval_p(p, t)
-
-
-def eval_q_prime(p: PolyQ | CoeffVector, t: float) -> float:
-    return 1.0 - eval_p_prime(p, t)
-
-
-def _coeffs_of(p: PolyQ | CoeffVector) -> CoeffVector:
-    return p.coeffs if isinstance(p, PolyQ) else p
+def eval_q(coeffs: CoeffVector, t: float) -> float:
+    return t - eval_p(coeffs, t)
 
 
 def build_poly(coeffs: CoeffVector) -> PolyQ:

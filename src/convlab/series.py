@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import math
 
-from .errors import InvalidCoefficients, InvalidInput
+from .errors import InvalidInput
 from .qpoly import CoeffVector, PolyQ, _exact_at, derivative
 
 DEFAULT_L_CAP = 64
@@ -176,7 +176,7 @@ def mass_bound_certificate(table: CoeffTable, p: PolyQ) -> list[float]:
     floats long before the weighted sums stop being small.
     """
     if table.coeffs != p.coeffs:
-        raise InvalidCoefficients("table and polynomial built from different coefficients")
+        raise InvalidInput("table and polynomial built from different coefficients")
     return [num / den for num, den in (_exact_at((0, *row), p.q_max) for row in table.rows)]
 
 

@@ -9,7 +9,9 @@ and turns f >= f*f into an exact
 pointwise statement for the circular convolution (the periodization of a
 non-negative function dominates the periodization of f*f node by node).
 In one dimension the periodized kernel has the classical closed form
-(a/L) sinh(2 pi t/L) / (cosh(2 pi t/L) - cos(2 pi x/L)); in higher
+(a/L) sinh(u) / (cosh(u) - cos(2 pi x/L)) with u = 2 pi t/L, evaluated as
+(a/L) (-expm1(-2u)) / (expm1(-u)^2 + 4 e^{-u} sin^2(pi x/L)), both parts
+times 2 e^{-u}, which stays finite at any t and tends to a/L; in higher
 dimensions it is synthesized from its Fourier coefficients
 a e^{-2 pi t ||xi||}, truncated at the Nyquist shell ||xi|| = M/(2L).
 Both routes depend on the resolution t M / L, the scale t in grid
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constructor import verify_inequality
-from .errors import DecayGuard, InvalidInput
+from .errors import InvalidInput
 from .field import Field, Grid, _field_from_symbol, _k_squared
 from .qpoly import CoeffVector
 
@@ -48,19 +50,19 @@ class PoissonParams:
 
 def poisson_field(params: PoissonParams) -> Field:
     """Periodized Poisson witness; discrete mass equals a to roundoff.
-    Raises DecayGuard when t M / L < MIN_RESOLUTION."""
+    Raises InvalidInput when t M / L < MIN_RESOLUTION."""
     grid = params.grid
     resolution = params.t * grid.points_per_axis / grid.extent
     if resolution < MIN_RESOLUTION:
-        raise DecayGuard(
+        raise InvalidInput(
             f"t * M / L = {resolution:.3g} < {MIN_RESOLUTION:g}; "
             "kernel too narrow for this grid"
         )
     if grid.dim == 1:
-        w = 2.0 * np.pi / grid.extent
+        u = 2.0 * np.pi * params.t / grid.extent
         x = grid.axis_coords()
-        vals = (params.a / grid.extent) * np.sinh(w * params.t) / (
-            np.cosh(w * params.t) - np.cos(w * x)
+        vals = (params.a / grid.extent) * -np.expm1(-2.0 * u) / (
+            np.expm1(-u) ** 2 + 4.0 * np.exp(-u) * np.sin(np.pi * x / grid.extent) ** 2
         )
         return Field(grid, vals)
     symbol = params.a * np.exp(-2.0 * np.pi * params.t * np.sqrt(_k_squared(grid)))

@@ -98,7 +98,7 @@ class TestDisk:
 
     def test_stdout_identical_across_processes(self, tmp_path):
         # two fresh interpreters (different hash seeds) print the same bytes
-        args = [sys.executable, "-m", "convlab.cli", "disk", "--coeffs", "1,1", "--pairs", "2000"]
+        args = [sys.executable, "-m", "convlab.cli", "disk", "--coeffs", "1,1"]
         runs = [
             subprocess.run(args, cwd=tmp_path, capture_output=True, env=child_env(PYTHONHASHSEED=s))
             for s in ("1", "2")
@@ -115,21 +115,21 @@ class TestDisk:
         # a root near -19.07 has |Q'(z)| ~ 5 against terms of size ~1e17:
         # a backward error of 4e-17, far below the 1e-10 contract
         coeffs = "439060,412898,230049,0,56559,0,252267,455723,20956"
-        assert main(["disk", "--coeffs", coeffs, "--pairs", "100", "--out", "d.json"]) == 0
+        assert main(["disk", "--coeffs", coeffs, "--out", "d.json"]) == 0
         assert read_json(tmp_path / "d.json")["certified"] is True
 
     def test_huge_top_coefficient(self, tmp_path):
         # n (n-1) a_n overflows a double where the guarded sum n a_n does not
         coeffs = ",".join(["0"] * 7 + ["1" + "0" * 307])
-        assert main(["disk", "--coeffs", coeffs, "--pairs", "100", "--out", "d.json"]) in (0, 3)
+        assert main(["disk", "--coeffs", coeffs, "--out", "d.json"]) in (0, 3)
         assert len(read_strict_json(tmp_path / "d.json")["qprime_roots"]) == 8
         assert read_strict_json(tmp_path / "convlab-manifest.json")["exit_code"] in (0, 3)
 
-    @pytest.mark.parametrize("flag,name", [("--pairs", "pair_samples"), ("--seed", "rng_seed")])
-    def test_negative_counts(self, tmp_path, capsys, flag, name):
-        assert main(["disk", "--coeffs", "1", flag, "-1", "--out", "d.json"]) == 2
-        assert capsys.readouterr().err == f"error: {name} must be >= 0, got -1\n"
-        assert read_strict_json(tmp_path / "convlab-manifest.json")["exit_code"] == 2
+    @pytest.mark.parametrize("flag", ["--pairs", "--seed"])
+    def test_no_sampling_options(self, tmp_path, capsys, flag):
+        # the sampled count cannot change `certified`: it has no options
+        assert main(["disk", "--coeffs", "1", flag, "10", "--out", "d.json"]) == 2
+        assert f"unrecognized arguments: {flag} 10" in capsys.readouterr().err
         assert not (tmp_path / "d.json").exists()
 
 
@@ -171,7 +171,7 @@ class TestInputRange:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_largest_coefficients_still_run(self, tmp_path):
-        assert main(["disk", "--coeffs", "1" + "0" * 307, "--pairs", "100"]) == 0
+        assert main(["disk", "--coeffs", "1" + "0" * 307]) == 0
 
     @pytest.mark.parametrize(
         "argv,name",
@@ -518,11 +518,6 @@ class TestExitCodes:
             (errors.NotConverged, 3),
             (errors.CeilingViolated, 3),
             (errors.ConvergenceFailure, 3),
-            (errors.InvalidCoefficients, 2),
-            (errors.GridMismatch, 2),
-            (errors.InvalidOrder, 2),
-            (errors.MassTooLarge, 2),
-            (errors.DecayGuard, 2),
             (errors.InvalidInput, 2),
             (errors.ConvlabError, 2),
             (ValueError, 1),
@@ -541,6 +536,32 @@ class TestExitCodes:
             assert main(["tq", "--coeffs", "1"]) == code
             assert capsys.readouterr().err == "error: boom\n"
         assert read_json(tmp_path / "convlab-manifest.json")["exit_code"] == code
+
+    @pytest.mark.parametrize(
+        "setup,argv,message",
+        [
+            ([], ["tq", "--coeffs", "1,x"], "cannot parse coefficients '1,x'"),
+            (
+                [["construct", "--coeffs", "1", "--points", "512",
+                  "--psi", "gaussian:sigma=0.5,mass=0.1", "--out", "seed.cvlf"]],
+                ["construct", "--coeffs", "1", "--psi", "file:seed.cvlf"],
+                "seed.cvlf holds a Grid(dim=1, extent=16.0, points_per_axis=512), "
+                "expected Grid(dim=1, extent=16.0, points_per_axis=1024)",
+            ),
+            ([], ["construct", "--coeffs", "1", "--psi", "gaussian:sigma=0.5,mass=0.3"],
+             "seed mass 0.3 exceeds Q(t_q) = 0.25"),
+            ([], ["witness", "--a", "0.5", "--t", "0.1", "--extent", "64", "--points", "64"],
+             "t * M / L = 0.1 < 8; kernel too narrow for this grid"),
+        ],
+        ids=["bad-coeffs", "seed-on-another-grid", "seed-above-q-max", "under-resolved-witness"],
+    )
+    def test_refusal(self, tmp_path, capsys, setup, argv, message):
+        for step in setup:
+            assert main(step) == 0
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert read_json(tmp_path / "convlab-manifest.json")["exit_code"] == 2
 
 
 class TestDeterminism:

@@ -9,7 +9,7 @@ from convlab import (
     CoeffVector,
     Field,
     Grid,
-    MassTooLarge,
+    InvalidInput,
     NotConverged,
     apply_p,
     build_poly,
@@ -69,8 +69,20 @@ class TestConstruct:
             assert rep.converged
 
     def test_mass_guard(self):
-        with pytest.raises(MassTooLarge):
+        with pytest.raises(InvalidInput, match=r"^seed mass 0\.26\d* exceeds Q\(t_q\) = 0\.25$"):
             construct(seed(0.26), C2, P2)
+
+    @pytest.mark.parametrize(
+        "coeffs,other,mass",
+        # unrefused, a q_max above the coefficients' own lets the step
+        # overflow (NotConverged), and one below it refuses a valid seed
+        [([3], [1], 0.2), ([1], [30], 0.05)],
+        ids=["p-of-smaller-coeffs", "p-of-larger-coeffs"],
+    )
+    def test_polynomial_of_other_coefficients(self, coeffs, other, mass):
+        p = build_poly(CoeffVector(other))
+        with pytest.raises(InvalidInput, match="^polynomial built from different coefficients$"):
+            construct(seed(mass), CoeffVector(coeffs), p)
 
     def test_near_critical_reports_failure(self):
         with pytest.raises(NotConverged) as exc:
@@ -470,6 +482,16 @@ class TestRoundtrip:
             p = build_poly(c)
             f, rep = construct(seed(0.7 * p.q_max), c, p)
             assert uniqueness_roundtrip(f, c, p) <= 10.0 * rep.tol
+
+    @pytest.mark.parametrize(
+        "coeffs,other", [([3], [1]), ([1], [30])], ids=["p-of-smaller-coeffs", "p-of-larger-coeffs"]
+    )
+    def test_polynomial_of_other_coefficients(self, coeffs, other):
+        c = CoeffVector(coeffs)
+        f, _ = construct(seed(0.01), c, build_poly(c))
+        p = build_poly(CoeffVector(other))
+        with pytest.raises(InvalidInput, match="^polynomial built from different coefficients$"):
+            uniqueness_roundtrip(f, c, p)
 
     def test_violating_field_rejected(self):
         with pytest.raises(ValueError):

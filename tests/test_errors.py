@@ -1,6 +1,6 @@
-"""The package's error policy: input is refused with the package's own
-exception classes, never a builtin one, so that the command line can tell
-bad input (exit 2) from an internal error (exit 1) by type alone."""
+"""The package's error policy: input is refused with InvalidInput, the
+package's one refusal class, never a builtin one, so that the command line
+can tell bad input (exit 2) from an internal error (exit 1) by type alone."""
 
 import ast
 import builtins
@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import convlab
-from convlab import ConvlabError, InvalidInput
+from convlab import ConvlabError, InvalidInput, errors
 
 SRC = Path(convlab.__file__).resolve().parent
 
@@ -43,6 +43,25 @@ def builtin_raises(source: str, filename: str) -> set[tuple[str, str, str]]:
 def test_invalid_input_is_a_package_error_and_a_value_error():
     assert issubclass(InvalidInput, ConvlabError)
     assert issubclass(InvalidInput, ValueError)
+
+
+def test_taxonomy():
+    # one class for every refusal (exit 2), three for honest negative
+    # results (exit 3), and their base
+    classes = {
+        name for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, BaseException)
+    }
+    assert classes == {
+        "ConvlabError", "InvalidInput", "NotConverged", "ConvergenceFailure", "CeilingViolated"
+    }
+    assert all(issubclass(getattr(errors, name), ConvlabError) for name in classes)
+    exported = {
+        name for name in convlab.__all__
+        if isinstance(getattr(convlab, name), type)
+        and issubclass(getattr(convlab, name), BaseException)
+    }
+    assert exported == classes
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ import pytest
 
 from convlab import (
     CoeffVector,
-    InvalidCoefficients,
+    InvalidInput,
     PolyQ,
     build_poly,
     iterate_table,
@@ -205,7 +205,8 @@ class TestMassCertificate:
 
     def test_coeff_mismatch(self):
         t = iterate_table(CoeffVector([1]), J=4, L_cap=16)
-        with pytest.raises(InvalidCoefficients):
+        message = "^table and polynomial built from different coefficients$"
+        with pytest.raises(InvalidInput, match=message):
             mass_bound_certificate(t, build_poly(CoeffVector([0, 1])))
 
     def test_matches_scalar_recursion(self):

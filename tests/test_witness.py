@@ -5,9 +5,9 @@ import pytest
 
 from convlab import (
     CoeffVector,
-    DecayGuard,
     Field,
     Grid,
+    InvalidInput,
     PoissonParams,
     build_poly,
     check_two_fold,
@@ -45,7 +45,8 @@ class TestParams:
                 PoissonParams(a=0.3, t=t, grid=G1)
 
     def test_decay_guard(self):
-        with pytest.raises(DecayGuard):
+        message = r"^t \* M / L = 6\.4 < 8; kernel too narrow for this grid$"
+        with pytest.raises(InvalidInput, match=message):
             poisson_field(PoissonParams(a=0.3, t=0.2, grid=G1))
 
     @pytest.mark.parametrize(
@@ -57,10 +58,13 @@ class TestParams:
     )
     def test_decay_guard_reads_resolution(self, dim, extent, points, t):
         grid = Grid(dim=dim, extent=extent, points_per_axis=points)
-        with pytest.raises(DecayGuard, match=r"t \* M / L"):
+        message = r"^t \* M / L = [0-9.]+ < 8; kernel too narrow for this grid$"
+        with pytest.raises(InvalidInput, match=message):
             poisson_field(PoissonParams(a=0.5, t=t, grid=grid))
 
-    @pytest.mark.parametrize("dim, extent, points", [(1, 16.0, 64), (2, 16.0, 64), (3, 8.0, 32)])
+    @pytest.mark.parametrize(
+        "dim, extent, points", [(1, 16.0, 64), (1, 64.0, 4096), (2, 16.0, 64), (3, 8.0, 32)]
+    )
     def test_witness_at_the_guard(self, dim, extent, points):
         # t M / L = 8 exactly: a witness with mass a, as in the continuum
         grid = Grid(dim=dim, extent=extent, points_per_axis=points)
@@ -72,6 +76,19 @@ class TestParams:
 
 
 class TestKernel:
+    @pytest.mark.parametrize("t", [1e4, 1e300, 1.7e308])
+    def test_one_dim_huge_scale(self, t):
+        # u = 2 pi t / L is far past exp's range: each value is a/L to
+        # roundoff, and nothing overflows on the way (e^-u underflows to 0)
+        grid = Grid(dim=1, extent=64.0, points_per_axis=1024)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            f = poisson_field(PoissonParams(a=0.5, t=t, grid=grid))
+        flat = 0.5 / 64.0
+        assert np.abs(f.values - flat).max() <= 2.0**-52 * flat
+        slack, mass = check_two_fold(f)
+        assert mass == pytest.approx(0.5, abs=1e-15)
+        assert slack == pytest.approx(flat * 0.5, rel=1e-12)
+
     def test_mass_is_amplitude(self):
         f = poisson_field(PoissonParams(a=0.5, t=1.0, grid=G1))
         assert abs(integral(f) - 0.5) <= 1e-12
