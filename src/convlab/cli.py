@@ -46,14 +46,13 @@ def _emit(payload: dict, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _read_field(path: str) -> tuple[field.Field, float]:
-    """The field stored at path and its L1 norm."""
+def _read_field(path: str) -> field.Field:
+    """The field stored at path, refused if its L1 norm is not finite."""
     with _user_path(path):
         f = field.read_cvlf(path)
     try:  # the L1 norm bounds every mass that a command sums from f
-        norm = field.l1_norm(f)
-        if norm < math.inf:
-            return f, norm
+        if field.l1_norm(f) < math.inf:
+            return f
     except OverflowError:
         pass
     raise InvalidInput(f"{path}: the L1 norm of the field is beyond the float range")
@@ -68,7 +67,7 @@ def _parse_field_spec(spec: str, grid: field.Grid) -> field.Field:
     'file:<path.cvlf>'."""
     kind, _, rest = spec.partition(":")
     if kind == "file":
-        f, _ = _read_field(rest)
+        f = _read_field(rest)
         if f.grid != grid:
             raise InvalidInput(f"{rest} holds a {f.grid}, expected {grid}")
         return f
@@ -185,14 +184,8 @@ def _cmd_bose(args) -> int:
     problem = bose_mod.BoseProblem(m=args.m, xi=args.xi, mu=args.mu, V=potential, grid=grid)
     try:
         sol = bose_mod.solve(problem, tol=args.tol, max_iter=args.max_iter)
-    except NotConverged as exc:
-        _emit({"error": str(exc), "report": exc.report.to_json()}, args.report)
-        return 3
-    except CeilingViolated as exc:
-        payload = {"error": str(exc)}
-        if exc.solution is not None:
-            payload["report"] = exc.solution.report.to_json()
-        _emit(payload, args.report)
+    except (NotConverged, CeilingViolated) as exc:  # solve attaches the solution to both
+        _emit({"error": str(exc), "report": exc.solution.report.to_json()}, args.report)
         return 3
     cert = bose_mod.apriori_certificate(sol)
     if args.out:
@@ -210,13 +203,14 @@ def _cmd_bose(args) -> int:
 def _cmd_verify(args) -> int:
     coeffs = CoeffVector.parse(args.coeffs)
     p = build_poly(coeffs)
-    f, norm = _read_field(args.field)
+    f = _read_field(args.field)
     slack, mass = constructor.verify_inequality(f, coeffs)
-    slack_ok = slack >= -DEFAULT_TOLS.verify_slack * max(1.0, norm)
+    low = field.min_value(f)  # its sign is reported only: no exit code reads it
+    slack_ok = slack >= -DEFAULT_TOLS.verify_slack * max(1.0, -low, float(f.values.max()))
     mass_ok = mass <= p.t_q + DEFAULT_TOLS.verify_mass_slack
     payload = {
         "min_slack": slack if math.isfinite(slack) else None,  # P(f) past the float range
-        "min_value": field.min_value(f),  # reported only: no exit code reads the sign
+        "min_value": low,
         "mass": mass,
         "t_q": p.t_q,
         "slack_ok": slack_ok,

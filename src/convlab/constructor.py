@@ -27,8 +27,9 @@ construct's report:
   non-negative.
 - monotone_ok checks the output in real space, where the intermediate
   iterates never exist: min(Psi_J - Psi_{J-1}) and min(f - psi) are both
-  >= -monotone_slack. Given it, the last increment's L1 norm is within
-  2 monotone_slack L^d of l1_deltas[-1], to roundoff.
+  >= -monotone_slack max(1, max|f|), since roundoff grows with the values.
+  Given it, the last increment's L1 norm is within 2 monotone_slack
+  max(1, max|f|) L^d of l1_deltas[-1], to roundoff.
 - residual is l1_norm((f - P(f)) - psi) in real space, the check of the
   fixed point that shares no step with the loop; P(f) = sum a_n (*^n f).
 - min_slack is min(f - P(f)), the slack of the inequality at f, from the
@@ -222,11 +223,12 @@ def construct(
     # Each symbol is released as soon as it is no longer read, so the inverse
     # transforms below hold no more complex arrays than the loop did.
     del s
-    f, floor, final_mass, residual, slack = None, -math.inf, masses[-1], None, None
+    f, floor, top, final_mass, residual, slack = None, -math.inf, 1.0, masses[-1], None, None
     try:
         with np.errstate(over="raise", invalid="raise"):
             f = _field_from_symbol(grid, w)
             del w
+            top = max(top, -min_value(f), float(f.values.max()))
             floor = min_value(f - psi)
             if prev is not None:
                 floor = min(floor, min_value(f - _field_from_symbol(grid, prev)))
@@ -241,7 +243,7 @@ def construct(
         masses=tuple(masses),
         final_mass=final_mass,
         residual=residual,
-        monotone_ok=floor >= -DEFAULT_TOLS.monotone_slack,
+        monotone_ok=floor >= -DEFAULT_TOLS.monotone_slack * top,
         tol=tol,
         min_slack=slack,
     )

@@ -28,16 +28,15 @@ can assert it is negligible.
 
 Every reduction (integral, l1_norm, aliasing_guard and the renormalisation
 in gaussian_field) is the exact sum of the values rounded once, equal bit
-for bit to math.fsum and so independent of summation order. From 256
-values on, _exact_sum pre-rounds (Rump, Ogita and Oishi, SIAM J. Sci.
-Comput. 31, 2008; Demmel and Nguyen, ARITH 2013): it scales the values
-below 2^40, truncates each twice into integer parts whose block sums are
-exact in double precision, and adds those as Python ints. That
-brackets the exact sum in an interval of 4n units of the last part; when
-both ends round to one double, it is fsum's, since rounding is monotone.
-Shorter arrays go to math.fsum, which is faster there, and so do a zero
-sum, nan, inf, values whose sum could come near overflow, and the rare
-interval that holds a rounding boundary.
+for bit to math.fsum and so independent of summation order. _exact_sum
+pre-rounds (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31, 2008; Demmel
+and Nguyen, ARITH 2013): it scales the values below 2^40, truncates each
+twice into integer parts whose block sums are exact in double precision,
+and adds those as Python ints. That brackets the exact sum in an interval
+of 4n units of the last part; when both ends round to one double, it is
+fsum's, since rounding is monotone. A zero sum, nan, inf, values whose sum
+could come near overflow, and the rare interval that holds a rounding
+boundary go to math.fsum itself.
 """
 
 from __future__ import annotations
@@ -262,10 +261,6 @@ def apply_p(f: Field, coeffs: CoeffVector) -> Field:
 
 # --- exactly rounded sums -------------------------------------------------
 
-# Shorter arrays are summed faster by math.fsum, which costs about 90 ns a
-# value against the kernel's 21 us plus 3 ns a value: 12 against 21 us at
-# 128 values, 24 against 22 at 256, 46 against 23 at 512 (2 vCPUs, numpy 2.4).
-_FSUM_BELOW = 256
 _FSUM_FROM_MAGNITUDE = 2.0**1000  # bounds n max|x|, 2^24 below overflow
 _BLOCK = 8192
 _SPLIT = 40  # bits per part: every partial sum of a block of parts is below 2^53
@@ -291,19 +286,18 @@ def _exact_sum(x: np.ndarray, absolute: bool = False, top: float | None = None) 
     rounded, half to even as fsum does, and rounding is monotone: if both
     ends round to the same nonzero double, that double is fsum(x).
 
-    Anything else goes to math.fsum itself: arrays below _FSUM_BELOW; nan,
-    inf and n max|x| >= 2^1000, so that the sum of |x|, and with it every
-    partial sum fsum forms, stays far below overflow, and an OverflowError
-    and its text come from fsum alone; a zero sum, whose sign fsum decides;
-    and an interval that holds a rounding boundary. The interval spans
-    about 4n 2^-80 max|x|, so that last case comes about once in 2^26 / n
-    sums of size near max|x|, and more rarely for larger sums.
+    Anything else goes to math.fsum itself: nan, inf and n max|x| >= 2^1000,
+    so that the sum of |x|, and with it every partial sum fsum forms, stays
+    far below overflow, and an OverflowError and its text come from fsum
+    alone; a zero sum, whose sign fsum decides; and an interval that holds
+    a rounding boundary. The interval spans about 4n 2^-80 max|x|, so that
+    last case comes about once in 2^26 / n sums of size near max|x|, and
+    more rarely for larger sums. x is never empty: every Field holds at
+    least 16 values, and aliasing_guard's shell always holds node 0.
     """
     x = x.ravel()
     n = x.size
-    if n < _FSUM_BELOW:
-        top = 0.0
-    elif top is None:
+    if top is None:
         top = float(max(-x.min(), x.max()))
     if not 0.0 < n * top < _FSUM_FROM_MAGNITUDE:
         return math.fsum(np.abs(x) if absolute else x)

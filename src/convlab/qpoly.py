@@ -12,7 +12,8 @@ derivative() for the rest. Other modules apply P through this layout,
 never by degree: field.apply_p by Horner over P on mass symbols, series
 by Horner over P on truncated power series and reciprocal_qprime through
 P'. Two evaluators read the layout here. _horner is the float Horner, at
-real or complex x, behind eval_p, eval_q and disk's roots and residuals.
+real or complex x or arrays of them, behind eval_p, eval_q and disk's roots,
+residuals and sampled pairs.
 _exact_at is exact: every certified number rests on it, the signs of Q'
 that prove t_q here, and the disk sups P'(r), P(r)/r and the
 mass-certificate rows, each rounded once.

@@ -32,21 +32,12 @@ DEFAULT_L_CAP = 64
 @dataclass(frozen=True)
 class CoeffTable:
     coeffs: CoeffVector
-    rows: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[int, ...], ...]  # rows[j][l - 1] is m_{j,l}
     cap_too_small: bool
 
     @property
     def l_cap(self) -> int:
         return len(self.rows[0])
-
-    def m(self, j: int, l: int) -> int:
-        """Entry m_{j,l}; zero above the stored cap (valid only when the
-        cap covers N2^j, see cap_too_small)."""
-        if l < 1:
-            raise IndexError("l starts at 1")
-        if l > self.l_cap:
-            return 0
-        return self.rows[j][l - 1]
 
     def diagonal(self) -> tuple[int, ...]:
         k = min(len(self.rows) - 1, self.l_cap)
@@ -64,14 +55,7 @@ class CoeffTable:
 @dataclass(frozen=True)
 class LimitSeries:
     coeffs: CoeffVector
-    c: tuple[int, ...]
-
-    def __getitem__(self, l: int) -> int:
-        """Coefficient c_l, l >= 1; the tail past the computed length is
-        unknown rather than zero, so it raises instead of padding."""
-        if not 1 <= l <= len(self.c):
-            raise IndexError(f"c_l computed for 1 <= l <= {len(self.c)}")
-        return self.c[l - 1]
+    c: tuple[int, ...]  # c[l - 1] is c_l
 
 
 def _trunc_mul(a: list[int], b: list[int], cap: int) -> list[int]:
@@ -195,6 +179,9 @@ def reciprocal_qprime(coeffs: CoeffVector, L: int) -> tuple[list[float], float]:
     if L < 8:
         raise InvalidInput("need L >= 8 for a stable tail window")
     pprime = derivative(coeffs.p)
+    low = next(k for k, pk in enumerate(pprime) if pk)  # n - 1, a_n the first positive
+    if L < low:
+        raise InvalidInput(f"need L >= {low}, the lowest degree of P'; below it b_1..b_L are 0")
     b = [1]
     for nu in range(1, L + 1):
         b.append(sum(pk * b[nu - k] for k, pk in enumerate(pprime[1 : nu + 1], start=1)))

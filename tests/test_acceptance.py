@@ -90,11 +90,11 @@ def test_criterion_03_table_properties_and_mass_certificate():
             for j in range(9):
                 support = c.n2**j
                 if support < cap:
-                    assert all(t.m(j, l) == 0 for l in range(support + 1, cap + 1))
+                    assert all(t.rows[j][l - 1] == 0 for l in range(support + 1, cap + 1))
                 if j < 8:
-                    assert all(t.m(j + 1, l) >= t.m(j, l) for l in range(1, cap + 1))
+                    assert all(t.rows[j + 1][l - 1] >= t.rows[j][l - 1] for l in range(1, cap + 1))
             for l in range(1, 9):
-                assert all(t.m(j, l) == t.m(l, l) for j in range(l, 9))
+                assert all(t.rows[j][l - 1] == t.rows[l][l - 1] for j in range(l, 9))
             sums = mass_bound_certificate(t, p)
             assert all(v <= p.t_q + 1e-12 for v in sums)
 

@@ -26,6 +26,9 @@ from convlab import (
     resolvent_apply,
     uniform_field,
 )
+from convlab import bose as bose_module
+from convlab.config import Tolerances
+
 from conftest import count_transforms, fixed_point, full_k_squared, random_smooth_field
 
 G = Grid(dim=1, extent=8.0, points_per_axis=256)
@@ -157,6 +160,19 @@ class TestSolve:
         assert sol.report.converged and sol.report.iterations == 1
         assert sol.report.monotone_ok
         assert apriori_certificate(sol).passed
+
+    def test_ceiling_violation_carries_the_solution(self, monkeypatch):
+        # no admissible problem is known to reach u = 1, so a negative slack
+        # puts the ceiling below this converged solution's maximum
+        want = bose_solve(problem(mu=0.01))
+        monkeypatch.setattr(bose_module, "DEFAULT_TOLS", Tolerances(ceiling_slack=-1.0))
+        with pytest.raises(CeilingViolated) as exc:
+            bose_solve(problem(mu=0.01))
+        top = want.u.values.max()
+        assert 0.0 < top < 1.0
+        assert str(exc.value) == f"max(u) = {top:.6g} exceeds 1; certificate hypotheses fail"
+        sol = exc.value.solution
+        assert sol.report == want.report and sol.u.values.tobytes() == want.u.values.tobytes()
 
     def test_smallness_guard(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import shlex
 import shutil
@@ -12,8 +13,11 @@ import pytest
 from convlab import (
     CoeffVector, Field, cli, errors, read_cvlf, uniform_field, verify_inequality, write_cvlf,
 )
+from convlab import bose as bose_module
 from convlab.cli import main
+from convlab.config import DEFAULT_TOLS, Tolerances
 from convlab.field import Grid
+from convlab.witness import PoissonParams, poisson_field
 
 from conftest import child_env, count_transforms
 
@@ -390,6 +394,23 @@ class TestBose:
         assert rep["delta"] is None and rep["solve"]["converged"] is True
         assert read_strict_json(tmp_path / "convlab-manifest.json")["exit_code"] == 0
 
+    def test_ceiling_violated_exit(self, tmp_path, monkeypatch, capsys):
+        # no admissible problem is known to reach u = 1, so a negative slack
+        # puts the ceiling below the converged solution's maximum
+        monkeypatch.setattr(bose_module, "DEFAULT_TOLS", Tolerances(ceiling_slack=-1.0))
+        code = main(
+            ["bose", "--V", "gaussian:sigma=0.6,mass=0.3", "--mu", "0.01",
+             *GRID_ARGS, "--out", "u.cvlf", "--report", "b.json"]
+        )
+        assert code == 3
+        rep = read_strict_json(tmp_path / "b.json")
+        assert rep["error"].startswith("max(u) = ")
+        assert rep["error"].endswith(" exceeds 1; certificate hypotheses fail")
+        assert rep["report"]["converged"] is True and rep["report"]["residual"] is not None
+        assert not (tmp_path / "u.cvlf").exists()
+        assert read_strict_json(tmp_path / "convlab-manifest.json")["exit_code"] == 3
+        assert capsys.readouterr().err == ""
+
     def test_smallness_guard_exit(self):
         assert main(["bose", "--V", "gaussian:sigma=0.6,mass=0.8", *GRID_ARGS]) == 2
 
@@ -438,6 +459,52 @@ class TestVerify:
         assert main(["verify", "--coeffs", "1", "--field", "bad.cvlf", "--out", "v.json"]) == 3
         out = read_json(tmp_path / "v.json")
         assert out["slack_ok"] is False
+
+    @pytest.mark.parametrize("extent", [16.0, 1.0, 0.1, 0.01, 1e-4])
+    def test_accepts_constructed_field_at_every_scale(self, tmp_path, extent):
+        # shrinking L and sigma together: pointwise values, and the roundoff
+        # of f - f*f, grow like 1/L^d while the L1 norm stays near 0.28
+        grid = ["--dim", "1", "--extent", repr(extent), "--points", "1024"]
+        psi = f"gaussian:sigma={extent / 100.0!r},mass=0.2"
+        argv = ["construct", "--coeffs", "1", *grid, "--psi", psi, "--out", "f.cvlf"]
+        assert main([*argv, "--report", "c.json"]) == 0
+        assert read_strict_json(tmp_path / "c.json")["monotone_ok"] is True
+        assert main(["verify", "--coeffs", "1", "--field", "f.cvlf", "--out", "v.json"]) == 0
+        out = read_strict_json(tmp_path / "v.json")
+        assert out["slack_ok"] and out["mass_ok"] and out["min_slack"] < 0.0
+
+    @pytest.mark.parametrize("extent", [64.0, 1.0, 0.01])
+    def test_rejects_scaled_witness_at_every_scale(self, tmp_path, extent):
+        # 1.2 times the sharp witness of f >= f*f violates it by about
+        # 4e-3 max|w| at every scale
+        g = Grid(dim=1, extent=extent, points_per_axis=4096)
+        w = poisson_field(PoissonParams(a=0.5, t=extent / 64.0, grid=g))
+        write_cvlf(1.2 * w, str(tmp_path / "w.cvlf"))
+        assert main(["verify", "--coeffs", "1", "--field", "w.cvlf", "--out", "v.json"]) == 3
+        out = read_strict_json(tmp_path / "v.json")
+        assert out["slack_ok"] is False
+        assert out["min_slack"] < -3e-3 * float(w.values.max())
+
+    @pytest.mark.parametrize(
+        "extent,mass", [(8.0, -3.0), (0.1, -2.0)], ids=["norm-above-max", "max-above-norm"]
+    )
+    def test_slack_bound_is_verify_slack_times_max_abs(self, tmp_path, monkeypatch, extent, mass):
+        # uniform f = mass/L has slack (mass - mass^2)/L < 0 and passes the
+        # mass bound: verify_slack just above and just below
+        # |slack| / max(1, max|f|) decides it, whatever the L1 norm
+        g = Grid(dim=1, extent=extent, points_per_axis=256)
+        write_cvlf(uniform_field(g, mass=mass), str(tmp_path / "f.cvlf"))
+        argv = ["verify", "--coeffs", "1", "--field", "f.cvlf", "--out", "v.json"]
+        assert main(argv) == 3
+        slack = read_strict_json(tmp_path / "v.json")["min_slack"]
+        assert slack == pytest.approx((mass - mass**2) / extent, rel=1e-12)
+        edge = -slack / max(1.0, -mass / extent)
+        for factor, ok in ((1.01, True), (0.99, False)):
+            tols = dataclasses.replace(DEFAULT_TOLS, verify_slack=factor * edge)
+            monkeypatch.setattr(cli, "DEFAULT_TOLS", tols)
+            assert main(argv) == (0 if ok else 3)
+            out = read_strict_json(tmp_path / "v.json")
+            assert out["slack_ok"] is ok and out["mass_ok"] is True
 
     def test_p_of_f_beyond_float_range(self, tmp_path, capsys):
         # a finite field of mass 0 whose f * f leaves the float range: an

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -20,6 +21,7 @@ from convlab import (
     integral,
     iterate_table,
     l1_norm,
+    min_value,
     uniform_field,
     uniqueness_roundtrip,
     verify_inequality,
@@ -58,6 +60,25 @@ class TestConstruct:
         assert rep.converged and rep.iterations == 1
         assert [x.hex() for x in rep.masses] == ["0x0.0p+0"] * 2
         assert f.values.tobytes() == bytes(8 * points)
+
+    @pytest.mark.parametrize("extent", [16.0, 1.0, 0.01, 1e-4])
+    def test_monotone_slack_scales_with_max_abs(self, extent, monkeypatch):
+        # values, and with them their roundoff, grow like 1/L^d as the box
+        # shrinks: the backsliding stays below 3e-16 max(1, max|f|) at every scale
+        grid = Grid(dim=1, extent=extent, points_per_axis=4096)
+        psi = gaussian_field(grid, sigma=extent / 100.0, mass=0.2)
+        f, rep = construct(psi, C2, P2)
+        assert rep.converged and rep.monotone_ok
+        with pytest.raises(NotConverged) as exc:
+            construct(psi, C2, P2, max_iter=rep.iterations - 1)
+        floor = min(min_value(f - psi), min_value(f - exc.value.field))
+        top = max(1.0, float(np.abs(f.values).max()))
+        assert -floor <= 1e-15 * top
+        # the flag reads floor >= -monotone_slack max(1, max|f|), both ways
+        for factor, ok in ((1.01, True), (0.99, False)):
+            tols = dataclasses.replace(DEFAULT_TOLS, monotone_slack=factor * -floor / top)
+            monkeypatch.setattr(constructor_mod, "DEFAULT_TOLS", tols)
+            assert construct(psi, C2, P2)[1].monotone_ok is ok
 
     def test_mass_fixed_point(self):
         # subcritical masses land on the smaller root of s = q + s^2
@@ -149,7 +170,7 @@ class TestConstruct:
             iterate = exc.value.field
             combo = Field(psi.grid, np.zeros(psi.grid.shape))
             for l in range(1, c.n2**j + 1):
-                mv = table.m(j, l)
+                mv = table.rows[j][l - 1]
                 if mv:
                     combo = combo + float(mv) * conv_power(psi, l)
             scale = np.abs(combo.values).max() + 1.0
@@ -207,7 +228,8 @@ class TestSpectralOracle:
             before = exc.value.field
         else:
             before = psi
-        bound = 2.0 * DEFAULT_TOLS.monotone_slack * grid.extent**grid.dim
+        top = max(1.0, float(np.abs(f.values).max()))
+        bound = 2.0 * DEFAULT_TOLS.monotone_slack * top * grid.extent**grid.dim
         assert abs(l1_norm(f - before) - rep.l1_deltas[-1]) <= bound
 
     def test_no_transform_in_the_loop(self, monkeypatch):
@@ -496,3 +518,9 @@ class TestRoundtrip:
     def test_violating_field_rejected(self):
         with pytest.raises(ValueError):
             uniqueness_roundtrip(uniform_field(G, mass=3.0), C2, P2)
+
+    def test_negative_mass_rejected(self):
+        # f - f*f is -6.25e-14 everywhere, within tol: the mass refuses it
+        grid = Grid(dim=1, extent=16.0, points_per_axis=256)
+        with pytest.raises(InvalidInput, match="^field has negative mass$"):
+            uniqueness_roundtrip(uniform_field(grid, mass=-1e-12), C2, P2)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from convlab import CoeffVector, build_poly, disk_scan, qprime_roots
+from convlab import CoeffVector, accel, build_poly, disk_scan, qprime_roots
 from convlab.disk import SCAN_RADIUS_FACTOR
 from convlab.qpoly import _horner, derivative
 
@@ -118,14 +118,12 @@ class TestScan:
         rng = np.random.default_rng(63)
         for _ in range(15):
             p = build_poly(random_coeffs(rng))
-            rep = disk_scan(p, pair_samples=2_000, rng_seed=int(rng.integers(10**6)))
+            rep = disk_scan(p, pair_samples=2_000)
             assert rep.sup_p_prime < 1.0
             assert rep.sup_p_over_z < 1.0
             assert rep.injectivity_violations == 0
 
-    @pytest.mark.parametrize(
-        "kwargs,name", [({"pair_samples": -5}, "pair_samples"), ({"rng_seed": -1}, "rng_seed")]
-    )
+    @pytest.mark.parametrize("kwargs,name", [({"pair_samples": -5}, "pair_samples")])
     def test_negative_arguments(self, kwargs, name):
         with pytest.raises(ValueError, match=f"^{name} must be >= 0"):
             disk_scan(build_poly(CoeffVector([1])), **kwargs)
@@ -135,7 +133,7 @@ class TestScan:
 
     def test_determinism(self):
         p = build_poly(CoeffVector([2, 0, 1]))
-        assert disk_scan(p, rng_seed=7) == disk_scan(p, rng_seed=7)
+        assert disk_scan(p) == disk_scan(p)
 
     def test_closed_form_matches_polar_scan(self):
         # the closed-form sups agree with the 64x128 polar-grid maximum, and
@@ -162,6 +160,27 @@ class TestScan:
         assert obj["injectivity_violations"] == 0
         assert len(obj["qprime_roots"]) == 2
         assert all(len(z) == 2 for z in obj["qprime_roots"])
+
+
+class TestAccel:
+    def test_polyval_matches_numpy(self):
+        # qpoly's Horner on the ascending float coefficients of Q gives
+        # np.polyval's bits at every sampled disk point
+        rng = np.random.default_rng(66)
+        for _ in range(6):
+            c = random_coeffs(rng)
+            radius = SCAN_RADIUS_FACTOR * build_poly(c).t_q
+            z = radius * np.sqrt(rng.random(10_000)) * np.exp(2j * np.pi * rng.random(10_000))
+            got = accel.polyval_many([float(v) for v in c.q], z)
+            want = np.polyval(np.array(c.q[::-1], dtype=float), z)
+            assert got.dtype == np.complex128 and got.tobytes() == want.tobytes()
+
+    def test_counts_pairs_below_the_bound(self):
+        # Q(z) = z: |z1 - z2| against lip |z1 - z2| - slack
+        z1, z2 = np.array([0.0, 0.0, 0.0]), np.array([0.5, 0.25, 0.0])
+        assert accel.count_lipschitz_violations([0.0, 1.0], z1, z2, 1.0, 0.0) == 0
+        assert accel.count_lipschitz_violations([0.0, 1.0], z1, z2, 1.5, 0.0) == 2
+        assert accel.count_lipschitz_violations([0.0, 1.0], z1, z2, 1.5, 0.2) == 1
 
 
 class TestSharpness:

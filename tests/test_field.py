@@ -471,7 +471,9 @@ def fsum_calls(monkeypatch):
 class TestExactSum:
     """_exact_sum against math.fsum, compared by float.hex."""
 
-    CUT = field_module._FSUM_BELOW
+    # 256 values, the smallest grid the benchmark's workloads sum; the kernel
+    # takes every size, down to the single node of a thin aliasing shell
+    CUT = 256
     BLOCK = field_module._BLOCK
     SIZES = [CUT - 1, CUT, CUT + 1, 2047, 2048, 2049, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3, 3 * BLOCK]
 
@@ -487,16 +489,25 @@ class TestExactSum:
         same_as_fsum(np.abs(self.wide(rng, n)))
         same_as_fsum(rng.standard_normal(n))
 
-    def test_takes_the_kernel_above_the_cutoff(self, fsum_calls):
+    def test_takes_the_kernel_at_every_size(self, fsum_calls):
+        # ordinary data reaches no fsum, however short the array
         rng = np.random.default_rng(1)
-        for n in (self.CUT - 1, self.CUT, 3 * self.BLOCK):
-            _exact_sum(rng.standard_normal(n))
-            _exact_sum(rng.standard_normal(n), absolute=True)
-        assert fsum_calls == [self.CUT - 1, self.CUT - 1]
+        for n in (1, 2, 16, 100, self.CUT - 1, self.CUT, 3 * self.BLOCK):
+            for x in (rng.standard_normal(n), self.wide(rng, n, -1000, 900)):
+                _exact_sum(x)
+                _exact_sum(x, absolute=True)
+        assert fsum_calls == []
 
-    @pytest.mark.parametrize("m", [256, 1024, 2048, 4096, 16384])
+    @pytest.mark.parametrize("n", [1, 3, 16, 64, 128, 200, 255])
+    def test_short_arrays_match_fsum(self, n):
+        rng = np.random.default_rng(1000 + n)
+        for _ in range(200):
+            same_as_fsum(self.wide(rng, n))
+            same_as_fsum(rng.standard_normal(n))
+
+    @pytest.mark.parametrize("m", [16, 256, 1024, 2048, 4096, 16384])
     def test_l1_norm_across_cutoff(self, m):
-        # mixed signs, on both sides of the cutoff; 16384 values fill two blocks
+        # mixed signs, from the smallest grid on; 16384 values fill two blocks
         grid = Grid(dim=1, extent=8.0, points_per_axis=m)
         rng = np.random.default_rng(m)
         for v in (rng.standard_normal(m), self.wide(rng, m, -1074, 980), -np.abs(self.wide(rng, m))):
@@ -645,7 +656,7 @@ class TestExactSum:
         # the oracle's two calls, then the kernel's two and the oracle's
         assert fsum_calls == [n] * 6
 
-    @pytest.mark.parametrize("n", [CUT - 1, CUT, BLOCK + 1])
+    @pytest.mark.parametrize("n", [1, CUT - 1, CUT, BLOCK + 1])
     def test_top_read_by_the_caller(self, n):
         # bose.solve passes the max|x| it has read; the sums stay fsum's
         rng = np.random.default_rng(n)
@@ -731,6 +742,16 @@ class TestReferenceFields:
 class TestAliasingGuard:
     def test_delta_center(self):
         assert aliasing_guard(delta_field(G1), 0.1) == 0.0
+
+    def test_zero_field(self):
+        assert aliasing_guard(Field(G1, np.zeros(G1.shape)), 0.1) == 0.0
+
+    def test_thinnest_shell_holds_node_zero(self, fsum_calls):
+        # a shell thinner than a cell holds node 0 alone, which the kernel sums
+        v = np.zeros(G1.shape)
+        v[0], v[G1.points_per_axis // 2] = 1.0, 3.0
+        assert aliasing_guard(Field(G1, v), 1e-6) == 0.25
+        assert fsum_calls == []
 
     def test_tight_gaussian(self):
         f = gaussian_field(G1, sigma=0.25)

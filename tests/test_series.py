@@ -90,7 +90,7 @@ class TestIterateTable:
             t = iterate_table(c, J=3, L_cap=c.n2**3 + 3)
             for j in range(4):
                 for l in range(c.n2**j + 1, t.l_cap + 1):
-                    assert t.m(j, l) == 0
+                    assert t.rows[j][l - 1] == 0
 
     def test_rows_monotone_in_j(self):
         rng = np.random.default_rng(22)
@@ -99,7 +99,7 @@ class TestIterateTable:
             t = iterate_table(c, J=6, L_cap=24)
             for j in range(6):
                 for l in range(1, 25):
-                    assert t.m(j + 1, l) >= t.m(j, l)
+                    assert t.rows[j + 1][l - 1] >= t.rows[j][l - 1]
 
     def test_rows_freeze_below_index(self):
         rng = np.random.default_rng(23)
@@ -107,9 +107,9 @@ class TestIterateTable:
             c = random_coeffs(rng)
             t = iterate_table(c, J=12, L_cap=10)
             for l in range(1, 11):
-                frozen = t.m(l, l)
+                frozen = t.rows[l][l - 1]
                 for j in range(l, 13):
-                    assert t.m(j, l) == frozen
+                    assert t.rows[j][l - 1] == frozen
 
     def test_cap_flag(self):
         assert iterate_table(CoeffVector([1]), J=5, L_cap=8).cap_too_small
@@ -133,6 +133,11 @@ class TestLimitSeries:
 
     def test_length_one(self):
         assert limit_series(CoeffVector([1]), L=1).c == (1,)
+
+    @pytest.mark.parametrize("inverse", [limit_series, lagrange_inverse])
+    def test_length_zero_rejected(self, inverse):
+        with pytest.raises(InvalidInput, match=r"^need L >= 1$"):
+            inverse(CoeffVector([1]), L=0)
 
     def test_lagrange_anchors(self):
         assert lagrange_inverse(CoeffVector([1]), L=12).c == CATALAN
@@ -173,14 +178,6 @@ class TestLimitSeries:
             comp = compose_q(s)
             assert comp[1] == 1
             assert all(v == 0 for i, v in enumerate(comp) if i != 1)
-
-    def test_getitem(self):
-        s = limit_series(CoeffVector([1]), L=6)
-        assert s[1] == 1 and s[4] == 5
-        with pytest.raises(IndexError):
-            s[0]
-        with pytest.raises(IndexError):
-            s[7]
 
 
 class TestMassCertificate:
@@ -302,6 +299,15 @@ class TestReciprocal:
     def test_short_window_rejected(self):
         with pytest.raises(ValueError):
             reciprocal_qprime(CoeffVector([1]), L=7)
+
+    @pytest.mark.parametrize("a,L,low", [([0] * 8 + [1], 8, 9), ([0] * 20 + [1], 16, 21)])
+    def test_length_below_lowest_degree_of_p_prime(self, a, L, low):
+        # every b_nu with 1 <= nu <= L is 0, so the root test has nothing to read
+        with pytest.raises(InvalidInput, match=rf"^need L >= {low}, the lowest degree of P'; "):
+            reciprocal_qprime(CoeffVector(a), L=L)
+        b, radius = reciprocal_qprime(CoeffVector(a), L=low)
+        assert b[1:low] == [0.0] * (low - 1) and b[low] == float(low + 1)  # n a_n
+        assert 0.0 < radius < math.inf
 
 
 class TestJson:
