@@ -36,11 +36,12 @@ from math import inf
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .constructor import DEFAULT_MAX_ITER, DEFAULT_TOL, SolveReport, _require_limits
+from .constructor import DEFAULT_MAX_ITER, DEFAULT_TOL, SolveReport, _minus_p, _require_limits
 from .errors import CeilingViolated, InvalidInput
-from .field import Field, Grid, conv_power, integral, l1_norm, min_value
+from .field import Field, Grid, integral, min_value
 from .field import _exact_sum, _field_from_symbol, _fresh, _k_squared, _mass_symbol
-from .field import _symbol_of, _values_of
+from .field import _symbol_of, _values_of, _within_roundoff
+from .qpoly import CoeffVector
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,7 @@ def solve(
 
     The report records every L1 increment and every mass (the first being
     integral(u_0) = 0), whether any step moved a node down by more than
-    the monotone slack, and the residual L1 norm of u - step(u) for the
+    nonneg_slack, and the residual L1 norm of u - step(u) for the
     last iterate u, formed by one more step. A step that overflows ends
     the run unconverged, with residual None and u the last finite iterate.
 
@@ -175,7 +176,7 @@ def solve(
             for _ in range(max_iter):
                 nxt, s_next = advance(u, s)
                 low = work.min()
-                if low < -DEFAULT_TOLS.monotone_slack:
+                if low < -DEFAULT_TOLS.nonneg_slack:  # absolute: u <= 1, so max(1, max|u|) = 1
                     monotone_ok = False
                 delta = increment_norm(float(max(-low, work.max())))
                 if delta is None:
@@ -222,21 +223,20 @@ def apriori_certificate(sol: BoseSolution) -> CertificateReport:
     """Check the non-negativity certificate on a converged solution.
 
     Applicable only when the hypothesis mu^(1/m) integral(u) / xi < 1
-    holds; then f = mu^(1/m) R[u] must dominate its own (m+1)-fold
-    convolution power and u must be non-negative, both to Tolerances.cert_slack
-    of the respective L1 norms. When the hypothesis fails no claim is made and
+    holds; then f = mu^(1/m) R[u] must dominate its own (m+1)-fold convolution
+    power and u must be non-negative, to verify_slack and nonneg_slack by
+    field._within_roundoff. When the hypothesis fails no claim is made and
     the certificate passes vacuously as not-applicable.
     """
     problem = sol.problem
     mu_root = problem.mu ** (1.0 / problem.m)
     f = mu_root * resolvent_apply(sol.u, problem.xi, 1)
     hypothesis_ok = sol.hypothesis_value < 1.0
-    slack = min_value(f - conv_power(f, problem.m + 1))
-    proof_ok = slack >= -DEFAULT_TOLS.cert_slack * l1_norm(f)
+    slack = _minus_p(f, CoeffVector([0] * (problem.m - 1) + [1]))[1]
+    proof_ok = _within_roundoff(slack, f, DEFAULT_TOLS.verify_slack)
     min_u = min_value(sol.u)
-    nonneg_ok = min_u >= -DEFAULT_TOLS.cert_slack * l1_norm(sol.u)
-    applicable = hypothesis_ok
-    passed = (proof_ok and nonneg_ok) if applicable else True
+    nonneg_ok = _within_roundoff(min_u, sol.u, DEFAULT_TOLS.nonneg_slack)
+    passed = (proof_ok and nonneg_ok) if hypothesis_ok else True
     return CertificateReport(
         hypothesis_value=sol.hypothesis_value,
         hypothesis_ok=hypothesis_ok,
@@ -244,6 +244,6 @@ def apriori_certificate(sol: BoseSolution) -> CertificateReport:
         proof_inequality_ok=proof_ok,
         min_u=min_u,
         nonneg_ok=nonneg_ok,
-        applicable=applicable,
+        applicable=hypothesis_ok,
         passed=passed,
     )

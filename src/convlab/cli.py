@@ -205,12 +205,11 @@ def _cmd_verify(args) -> int:
     p = build_poly(coeffs)
     f = _read_field(args.field)
     slack, mass = constructor.verify_inequality(f, coeffs)
-    low = field.min_value(f)  # its sign is reported only: no exit code reads it
-    slack_ok = slack >= -DEFAULT_TOLS.verify_slack * max(1.0, -low, float(f.values.max()))
+    slack_ok = field._within_roundoff(slack, f, DEFAULT_TOLS.verify_slack)
     mass_ok = mass <= p.t_q + DEFAULT_TOLS.verify_mass_slack
     payload = {
         "min_slack": slack if math.isfinite(slack) else None,  # P(f) past the float range
-        "min_value": low,
+        "min_value": field.min_value(f),  # reported only: no exit code reads its sign
         "mass": mass,
         "t_q": p.t_q,
         "slack_ok": slack_ok,

@@ -1,9 +1,9 @@
 """Centralized tolerance constants.
 
 Every numerical contract in the package draws its thresholds from one
-``Tolerances`` record so that tests, solvers and reports agree on what
-"equal" means. The defaults are deliberately conservative; individual
-solvers take an explicit ``tol`` argument for their own stopping rules.
+``Tolerances`` record, read as ``DEFAULT_TOLS``; solvers take an explicit
+``tol`` for their own stopping rules. The paper's two pointwise claims are
+each judged to roundoff by field._within_roundoff: min >= -slack max(1, max|f|).
 """
 
 from __future__ import annotations
@@ -14,14 +14,14 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class Tolerances:
     root_residual: float = 1e-10     # |Q'(z)| <= root_residual * sum |c_k| |z|^k
-    negative_clamp: float = 1e-12    # how negative a "non-negative" input may be
     pair_slack: float = 1e-14        # additive slack in the pairwise injectivity check
-    monotone_slack: float = 1e-12    # iterate backsliding; construct scales it by max(1, max|f|)
     seed_mass_slack: float = 1e-9    # seed mass <= q_max (1 + seed_mass_slack)
     ceiling_slack: float = 1e-10     # bose: max(u) <= 1 + ceiling_slack
-    cert_slack: float = 1e-8         # bose certificate: min >= -cert_slack * L1 norm
-    verify_slack: float = 1e-10      # verify: min slack >= -verify_slack * max(1, max|f|)
     verify_mass_slack: float = 1e-9  # verify: mass <= t_q + verify_mass_slack
+    nonneg_slack: float = 1e-12      # f >= 0: construct's seed and monotone_ok, bose's u
+    # f >= sum a_n (*^n f): verify, uniqueness_roundtrip, bose's certificate. It also absorbs
+    # construct's truncation gap, not roundoff: -3.7e-13 on 1-d 4096 at tol 1e-10 (constructor)
+    verify_slack: float = 1e-10
 
 
 DEFAULT_TOLS = Tolerances()

@@ -27,13 +27,15 @@ construct's report:
   non-negative.
 - monotone_ok checks the output in real space, where the intermediate
   iterates never exist: min(Psi_J - Psi_{J-1}) and min(f - psi) are both
-  >= -monotone_slack max(1, max|f|), since roundoff grows with the values.
-  Given it, the last increment's L1 norm is within 2 monotone_slack
+  >= -nonneg_slack max(1, max|f|) (field._within_roundoff, as for the seed).
+  Given it, the last increment's L1 norm is within 2 nonneg_slack
   max(1, max|f|) L^d of l1_deltas[-1], to roundoff.
 - residual is l1_norm((f - P(f)) - psi) in real space, the check of the
   fixed point that shares no step with the loop; P(f) = sum a_n (*^n f).
-- min_slack is min(f - P(f)), the slack of the inequality at f, from the
-  same f - P(f): _minus_p is the one place where it is formed.
+- min_slack is min(f - P(f)), from the same f - P(f) (_minus_p is the one
+  place that forms it). f misses the inequality by the last increment, as
+  f - P(f) = psi - (Psi_{J+1} - Psi_J), not by roundoff: -3.7e-13 on 1-d 4096
+  at tol 1e-10, -8.2e-16 at 1e-13. verify_slack absorbs that gap.
 - residual is None exactly when the run overflowed: in a step, which
   leaves the last finite iterate and overwrites its predecessor (so
   monotone_ok checks f - psi alone), or while f, f - P(f), the residual
@@ -54,7 +56,7 @@ import numpy as np
 from .config import DEFAULT_TOLS
 from .errors import InvalidInput, NotConverged
 from .field import Field, apply_p, integral, l1_norm, min_value
-from .field import _field_from_symbol, _mass_symbol, _p_of_symbol
+from .field import _field_from_symbol, _mass_symbol, _p_of_symbol, _within_roundoff
 from .qpoly import CoeffVector, PolyQ
 
 DEFAULT_TOL = 1e-10
@@ -180,17 +182,6 @@ def _iterate_symbol(
     return w.reshape(shape), None if acc is None else acc.reshape(shape), deltas, masses
 
 
-def _clamped_seed(psi: Field) -> Field:
-    floor = min_value(psi)
-    if floor < -DEFAULT_TOLS.negative_clamp:
-        raise InvalidInput(
-            f"seed minimum {floor:.3e} below the -{DEFAULT_TOLS.negative_clamp} clamp threshold"
-        )
-    if floor < 0.0:
-        return Field(psi.grid, np.maximum(psi.values, 0.0))
-    return psi
-
-
 def construct(
     psi: Field,
     coeffs: CoeffVector,
@@ -208,7 +199,11 @@ def construct(
     iterate and its report attached to the exception.
     """
     _require_poly(coeffs, p)
-    psi = _clamped_seed(psi)
+    floor = min_value(psi)
+    if not _within_roundoff(floor, psi, DEFAULT_TOLS.nonneg_slack):
+        raise InvalidInput(f"seed minimum {floor:.3e} below -nonneg_slack max(1, max|psi|)")
+    if floor < 0.0:  # clamped: negatives within roundoff
+        psi = Field(psi.grid, np.maximum(psi.values, 0.0))
     # psi >= 0 now, so its integral is its L1 norm, up to the sign of a zero
     seed_mass = integral(psi)
     if seed_mass > p.q_max * (1.0 + DEFAULT_TOLS.seed_mass_slack):
@@ -223,12 +218,11 @@ def construct(
     # Each symbol is released as soon as it is no longer read, so the inverse
     # transforms below hold no more complex arrays than the loop did.
     del s
-    f, floor, top, final_mass, residual, slack = None, -math.inf, 1.0, masses[-1], None, None
+    f, floor, final_mass, residual, slack = None, -math.inf, masses[-1], None, None
     try:
         with np.errstate(over="raise", invalid="raise"):
             f = _field_from_symbol(grid, w)
             del w
-            top = max(top, -min_value(f), float(f.values.max()))
             floor = min_value(f - psi)
             if prev is not None:
                 floor = min(floor, min_value(f - _field_from_symbol(grid, prev)))
@@ -243,7 +237,7 @@ def construct(
         masses=tuple(masses),
         final_mass=final_mass,
         residual=residual,
-        monotone_ok=floor >= -DEFAULT_TOLS.monotone_slack * top,
+        monotone_ok=f is not None and _within_roundoff(floor, f, DEFAULT_TOLS.nonneg_slack),
         tol=tol,
         min_slack=slack,
     )
@@ -281,12 +275,13 @@ def uniqueness_roundtrip(
     For any f satisfying the inequality this distance is forced to zero
     in exact arithmetic (the solution is unique given its seed); away
     from the critical mass the iteration converges geometrically and the
-    contract is a distance <= 10 * tol.
+    contract is a distance <= 10 * tol, tol being only construct's stopping
+    tolerance. f is refused as verify refuses it, or for a negative mass.
     """
     _require_poly(coeffs, p)
     g, slack = _minus_p(f, coeffs)
-    if slack < -tol:
-        raise InvalidInput(f"field violates the inequality (slack {slack:.3e} < -{tol})")
+    if not _within_roundoff(slack, f, DEFAULT_TOLS.verify_slack):
+        raise InvalidInput(f"field violates the inequality (slack {slack:.3e}) beyond roundoff")
     if integral(f) < 0:
         raise InvalidInput("field has negative mass")
     psi = Field(g.grid, np.maximum(g.values, 0.0))

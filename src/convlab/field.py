@@ -340,6 +340,12 @@ def min_value(f: Field) -> float:
     return float(f.values.min())
 
 
+def _within_roundoff(low: float, f: Field, slack: float) -> bool:
+    """low >= -slack max(1, max|f|), slack >= 0: a minimum of f, or of a field formed
+    from f, is >= 0 to roundoff. f's extremes are read only when low < -slack."""
+    return low >= -slack or low >= -slack * max(1.0, -min_value(f), float(f.values.max()))
+
+
 def aliasing_guard(f: Field, shell_fraction: float) -> float:
     """Fraction of the L1 mass sitting within shell_fraction * L of the
     box boundary; > 1e-6 suggests wrap-around contamination."""

@@ -132,8 +132,8 @@ def fixed_point(step, start: Field, tol: float, max_iter: int):
 
     The oracle of construct's symbol loop and of bose.solve. The report
     records every increment and every mass (the first being
-    integral(start)), whether any step moved a node down by more than the
-    monotone slack, and the residual L1 norm of last - step(last). A step
+    integral(start)), whether any step moved a node down by more than
+    nonneg_slack, and the residual L1 norm of last - step(last). A step
     that overflows ends the run unconverged, with residual None and last
     the final finite iterate.
     """
@@ -146,7 +146,7 @@ def fixed_point(step, start: Field, tol: float, max_iter: int):
             for _ in range(max_iter):
                 nxt = step(current)
                 increment = nxt - current
-                if min_value(increment) < -DEFAULT_TOLS.monotone_slack:
+                if min_value(increment) < -DEFAULT_TOLS.nonneg_slack:
                     monotone_ok = False
                 delta, mass = l1_norm(increment), integral(nxt)
                 deltas.append(delta)

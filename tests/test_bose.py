@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -27,7 +28,7 @@ from convlab import (
     uniform_field,
 )
 from convlab import bose as bose_module
-from convlab.config import Tolerances
+from convlab.config import DEFAULT_TOLS, Tolerances
 
 from conftest import count_transforms, fixed_point, full_k_squared, random_smooth_field
 
@@ -372,6 +373,32 @@ class TestCertificate:
             "applicable",
             "passed",
         }
+
+    @pytest.mark.parametrize("m,mu", [(1, 1.0), (2, 2.0)])
+    def test_bounds_are_slacks_times_max_abs(self, monkeypatch, m, mu):
+        # on 1-d L = 512 with xi = 9 the spectral resolvent's kernel has
+        # negative lobes (-1.4e-3 of its peak): u dips to about -4e-12 and
+        # f - *^(m+1) f to -2e-13 .. -5e-13, which is not roundoff. Each slack
+        # just above and just below |min| / max(1, max|.|) decides its check.
+        xi, grid = 9.0, Grid(dim=1, extent=512.0, points_per_axis=1024)
+        sol = bose_solve(problem(v_mass=0.3 * xi**m, xi=xi, mu=mu, m=m, sigma=1.0, grid=grid))
+        cert = apriori_certificate(sol)
+        assert cert.hypothesis_ok and cert.proof_inequality_ok and not cert.nonneg_ok
+        f = mu ** (1.0 / m) * resolvent_apply(sol.u, xi, 1)
+        proof_edge = -cert.proof_inequality_slack / max(1.0, float(np.abs(f.values).max()))
+        nonneg_edge = -cert.min_u / max(1.0, float(np.abs(sol.u.values).max()))
+        assert proof_edge > 0.0 and nonneg_edge > 0.0
+        for factor, ok in ((1.01, True), (0.99, False)):
+            # each check in turn, with the other one passing
+            for change in (
+                {"verify_slack": factor * proof_edge, "nonneg_slack": 1.0},
+                {"nonneg_slack": factor * nonneg_edge},
+            ):
+                tols = dataclasses.replace(DEFAULT_TOLS, **change)
+                monkeypatch.setattr(bose_module, "DEFAULT_TOLS", tols)
+                cert = apriori_certificate(sol)
+                assert (cert.proof_inequality_ok and cert.nonneg_ok) is ok
+                assert cert.passed is ok
 
     def test_not_applicable_is_vacuous(self):
         # blow the hypothesis up by scaling u; no claim is made then

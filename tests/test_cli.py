@@ -16,7 +16,7 @@ from convlab import (
 from convlab import bose as bose_module
 from convlab.cli import main
 from convlab.config import DEFAULT_TOLS, Tolerances
-from convlab.field import Grid
+from convlab.field import Grid, convolve, gaussian_field
 from convlab.witness import PoissonParams, poisson_field
 
 from conftest import child_env, count_transforms
@@ -309,6 +309,21 @@ class TestConstructVerify:
         # same file on a mismatched grid is refused
         wrong = ["--dim", "1", "--extent", "8", "--points", "128"]
         assert main(["construct", "--coeffs", "1", *wrong, "--psi", "file:w.cvlf"]) == 2
+
+    def test_roundoff_negative_seed_on_small_box(self, tmp_path, capsys):
+        # s * s on 2-d 0.01: min -1.8e-11, pure roundoff at -8.7e-17 max|psi|,
+        # beyond an absolute 1e-12 but within nonneg_slack max(1, max|psi|)
+        g = Grid(dim=2, extent=0.01, points_per_axis=128)
+        s = gaussian_field(g, sigma=0.01 / 40.0, mass=0.4)
+        psi = convolve(s, s)
+        assert float(psi.values.min()) < -1e-12
+        write_cvlf(psi, str(tmp_path / "psi.cvlf"))
+        argv = ["construct", "--coeffs", "1", "--dim", "2", "--extent", "0.01",
+                "--points", "128", "--psi", "file:psi.cvlf", "--report", "r.json"]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        rep = read_strict_json(tmp_path / "r.json")
+        assert rep["converged"] is True and rep["monotone_ok"] is True
 
     def test_csv_output(self, tmp_path):
         code = main(

@@ -12,16 +12,19 @@ from convlab import (
     Grid,
     InvalidInput,
     NotConverged,
+    PoissonParams,
     apply_p,
     build_poly,
     conv_power,
     construct,
+    convolve,
     delta_field,
     gaussian_field,
     integral,
     iterate_table,
     l1_norm,
     min_value,
+    poisson_field,
     uniform_field,
     uniqueness_roundtrip,
     verify_inequality,
@@ -30,6 +33,7 @@ from convlab import constructor as constructor_mod
 from convlab import field as field_mod
 from convlab.config import DEFAULT_TOLS
 from convlab.constructor import DEFAULT_MAX_ITER, DEFAULT_TOL, _iterate_symbol
+from convlab.field import _within_roundoff
 from convlab.qpoly import eval_p
 
 from conftest import count_transforms, fixed_point, full_iterate_symbol, linf_diff, random_coeffs
@@ -74,9 +78,9 @@ class TestConstruct:
         floor = min(min_value(f - psi), min_value(f - exc.value.field))
         top = max(1.0, float(np.abs(f.values).max()))
         assert -floor <= 1e-15 * top
-        # the flag reads floor >= -monotone_slack max(1, max|f|), both ways
+        # the flag reads floor >= -nonneg_slack max(1, max|f|), both ways
         for factor, ok in ((1.01, True), (0.99, False)):
-            tols = dataclasses.replace(DEFAULT_TOLS, monotone_slack=factor * -floor / top)
+            tols = dataclasses.replace(DEFAULT_TOLS, nonneg_slack=factor * -floor / top)
             monkeypatch.setattr(constructor_mod, "DEFAULT_TOLS", tols)
             assert construct(psi, C2, P2)[1].monotone_ok is ok
 
@@ -124,6 +128,24 @@ class TestConstruct:
         v[0] = -1e-9
         with pytest.raises(ValueError):
             construct(Field(G, v), C2, P2)
+
+    @pytest.mark.parametrize("dim,points", [(1, 1024), (2, 128)])
+    @pytest.mark.parametrize("extent", [16.0, 1.0, 0.1, 0.01])
+    def test_seed_clamp_scales_with_max_abs(self, dim, points, extent):
+        # s * s has negatives of pure roundoff, about 1e-16 max|psi|, which
+        # grow like 1/L^d: the clamp accepts them at every scale, and refuses
+        # a node at -1e-9 max|psi|
+        grid = Grid(dim=dim, extent=extent, points_per_axis=points)
+        s = gaussian_field(grid, sigma=extent / 40.0, mass=0.4)
+        psi = convolve(s, s)
+        top = float(np.abs(psi.values).max())
+        assert -3e-16 * top <= min_value(psi) < 0.0
+        f, rep = construct(psi, C2, P2)
+        assert rep.converged and rep.monotone_ok and min_value(f) >= 0.0
+        v = psi.values.copy()
+        v.flat[0] = -1e-9 * top
+        with pytest.raises(InvalidInput, match="^seed minimum .* below -nonneg_slack"):
+            construct(Field(grid, v), C2, P2)
 
     def test_deltas_decrease(self):
         _, rep = construct(seed(0.2), C2, P2)
@@ -229,7 +251,7 @@ class TestSpectralOracle:
         else:
             before = psi
         top = max(1.0, float(np.abs(f.values).max()))
-        bound = 2.0 * DEFAULT_TOLS.monotone_slack * top * grid.extent**grid.dim
+        bound = 2.0 * DEFAULT_TOLS.nonneg_slack * top * grid.extent**grid.dim
         assert abs(l1_norm(f - before) - rep.l1_deltas[-1]) <= bound
 
     def test_no_transform_in_the_loop(self, monkeypatch):
@@ -460,7 +482,7 @@ class TestVerify:
     def test_constructed_solution(self):
         f, _ = construct(seed(0.2), C2, P2)
         slack, mass = verify_inequality(f, C2)
-        assert slack >= -1e-10 * max(1.0, l1_norm(f))
+        assert _within_roundoff(slack, f, DEFAULT_TOLS.verify_slack)
         assert mass == pytest.approx(0.27639320225002106, abs=1e-8)
 
     def test_mass_functional_is_reported(self):
@@ -519,8 +541,26 @@ class TestRoundtrip:
         with pytest.raises(ValueError):
             uniqueness_roundtrip(uniform_field(G, mass=3.0), C2, P2)
 
+    @pytest.mark.parametrize("extent", [16.0, 1.0, 0.01])
+    def test_constructed_field_at_every_scale(self, extent):
+        # min(f - f*f) is -8.8e-12 at L = 16 and -1.4e-11 max|f| below, so an
+        # absolute bound of tol refused it at L = 1 (-1.4e-10) and 0.01 (-1.4e-8)
+        grid = Grid(dim=1, extent=extent, points_per_axis=1024)
+        f, rep = construct(gaussian_field(grid, sigma=extent / 100.0, mass=0.2), C2, P2)
+        assert uniqueness_roundtrip(f, C2, P2) <= 10.0 * rep.tol
+
+    @pytest.mark.parametrize("which", ["uniform-mass-3", "scaled-witness"])
+    def test_violating_field_rejected_on_small_box(self, which):
+        grid = Grid(dim=1, extent=0.01, points_per_axis=1024)
+        if which == "uniform-mass-3":
+            f = uniform_field(grid, mass=3.0)
+        else:
+            f = 1.2 * poisson_field(PoissonParams(a=0.5, t=0.01 / 64.0, grid=grid))
+        with pytest.raises(InvalidInput, match="^field violates the inequality"):
+            uniqueness_roundtrip(f, C2, P2)
+
     def test_negative_mass_rejected(self):
-        # f - f*f is -6.25e-14 everywhere, within tol: the mass refuses it
+        # f - f*f is -6.25e-14 everywhere, within verify_slack: the mass refuses it
         grid = Grid(dim=1, extent=16.0, points_per_axis=256)
         with pytest.raises(InvalidInput, match="^field has negative mass$"):
             uniqueness_roundtrip(uniform_field(grid, mass=-1e-12), C2, P2)
