@@ -8,6 +8,10 @@ JSON with the resolved configuration, package version and wall time; all
 artifacts are written atomically. Exit codes: 0 success, 1 internal error
 (manifest written, traceback raised), 2 invalid input, including a path that
 cannot be read or written, 3 convergence or certificate failure.
+
+The parser is built once per process. The numpy-backed modules (field,
+constructor, disk, witness, bose) are imported by the handlers and helpers
+that use them, so tq and series run without numpy.
 """
 
 from __future__ import annotations
@@ -18,14 +22,17 @@ import math
 import sys
 import time
 from contextlib import contextmanager
+from functools import cache
+from typing import TYPE_CHECKING
 
-from . import __version__
-from . import bose as bose_mod
-from . import constructor, disk, field, series, witness
-from .config import DEFAULT_TOLS
+from . import __version__, series
+from .config import DEFAULT_MAX_ITER, DEFAULT_TOL, DEFAULT_TOLS
 from .errors import CeilingViolated, ConvergenceFailure, ConvlabError, InvalidInput, NotConverged
 from .ioutil import atomic_write_text
 from .qpoly import CoeffVector, build_poly
+
+if TYPE_CHECKING:
+    from .field import Field, Grid
 
 
 @contextmanager
@@ -46,8 +53,10 @@ def _emit(payload: dict, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _read_field(path: str) -> field.Field:
+def _read_field(path: str) -> Field:
     """The field stored at path, refused if its L1 norm is not finite."""
+    from . import field
+
     with _user_path(path):
         f = field.read_cvlf(path)
     try:  # the L1 norm bounds every mass that a command sums from f
@@ -58,13 +67,17 @@ def _read_field(path: str) -> field.Field:
     raise InvalidInput(f"{path}: the L1 norm of the field is beyond the float range")
 
 
-def _grid_from_args(args) -> field.Grid:
+def _grid_from_args(args) -> Grid:
+    from . import field
+
     return field.Grid(dim=args.dim, extent=args.extent, points_per_axis=args.points)
 
 
-def _parse_field_spec(spec: str, grid: field.Grid) -> field.Field:
+def _parse_field_spec(spec: str, grid: Grid) -> Field:
     """'gaussian:sigma=0.5,mass=0.2', 'delta:mass=1', 'uniform:mass=1' or
     'file:<path.cvlf>'."""
+    from . import field
+
     kind, _, rest = spec.partition(":")
     if kind == "file":
         f = _read_field(rest)
@@ -100,7 +113,9 @@ def _parse_field_spec(spec: str, grid: field.Grid) -> field.Field:
     raise InvalidInput(f"unknown field kind {kind!r}")
 
 
-def _write_field(f: field.Field, path: str) -> None:
+def _write_field(f: Field, path: str) -> None:
+    from . import field
+
     with _user_path(path):
         if path.endswith(".csv"):
             field.write_csv(f, path)
@@ -132,6 +147,8 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_disk(args) -> int:
+    from . import disk
+
     p = build_poly(CoeffVector.parse(args.coeffs))
     report = disk.disk_scan(p)
     certified = (
@@ -146,6 +163,8 @@ def _cmd_disk(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    from . import constructor
+
     coeffs = CoeffVector.parse(args.coeffs)
     p = build_poly(coeffs)
     grid = _grid_from_args(args)
@@ -168,6 +187,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    from . import witness
+
     grid = _grid_from_args(args)
     params = witness.PoissonParams(a=args.a, t=args.t, grid=grid)
     f = witness.poisson_field(params)
@@ -179,15 +200,17 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_bose(args) -> int:
+    from . import bose
+
     grid = _grid_from_args(args)
     potential = _parse_field_spec(args.V, grid)
-    problem = bose_mod.BoseProblem(m=args.m, xi=args.xi, mu=args.mu, V=potential, grid=grid)
+    problem = bose.BoseProblem(m=args.m, xi=args.xi, mu=args.mu, V=potential, grid=grid)
     try:
-        sol = bose_mod.solve(problem, tol=args.tol, max_iter=args.max_iter)
+        sol = bose.solve(problem, tol=args.tol, max_iter=args.max_iter)
     except (NotConverged, CeilingViolated) as exc:  # solve attaches the solution to both
         _emit({"error": str(exc), "report": exc.solution.report.to_json()}, args.report)
         return 3
-    cert = bose_mod.apriori_certificate(sol)
+    cert = bose.apriori_certificate(sol)
     if args.out:
         _write_field(sol.u, args.out)
     payload = {
@@ -201,6 +224,8 @@ def _cmd_bose(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import constructor, field
+
     coeffs = CoeffVector.parse(args.coeffs)
     p = build_poly(coeffs)
     f = _read_field(args.field)
@@ -235,7 +260,10 @@ def _add_grid(sp) -> None:
     sp.add_argument("--points", type=int, default=1024, help="nodes per axis (power of two)")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; main looks each handler up by name
+    when it runs, so the parser holds no function."""
     parser = argparse.ArgumentParser(
         prog="convlab",
         description="Numerical laboratory for the iterated convolution "
@@ -253,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_coeffs(sp)
     sp.add_argument("--out", default=None, help="write JSON here instead of stdout")
-    sp.set_defaults(handler=_cmd_tq)
 
     sp = sub.add_parser(
         "series",
@@ -264,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rows", type=int, default=8, help="number of iterations J")
     sp.add_argument("--cap", type=int, default=series.DEFAULT_L_CAP, help="column cap L")
     sp.add_argument("--out", default=None)
-    sp.set_defaults(handler=_cmd_series)
 
     sp = sub.add_parser(
         "disk",
@@ -273,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_coeffs(sp)
     sp.add_argument("--out", default=None)
-    sp.set_defaults(handler=_cmd_disk)
 
     sp = sub.add_parser(
         "construct",
@@ -282,11 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_coeffs(sp)
     _add_grid(sp)
     sp.add_argument("--psi", required=True, help="seed, e.g. gaussian:sigma=0.5,mass=0.2")
-    sp.add_argument("--tol", type=float, default=constructor.DEFAULT_TOL)
-    sp.add_argument("--max-iter", type=int, default=constructor.DEFAULT_MAX_ITER)
+    sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    sp.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     sp.add_argument("--out", default=None, help="field output (.cvlf, or .csv for d=1)")
     sp.add_argument("--report", default=None, help="solve report JSON")
-    sp.set_defaults(handler=_cmd_construct)
 
     sp = sub.add_parser(
         "witness",
@@ -300,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid(sp)
     sp.add_argument("--out", default=None, help="field output (.csv for d=1, else .cvlf)")
     sp.add_argument("--report", default=None)
-    sp.set_defaults(handler=_cmd_witness)
 
     sp = sub.add_parser(
         "bose",
@@ -312,11 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mu", type=float, default=0.0)
     sp.add_argument("--V", required=True, help="potential, e.g. gaussian:sigma=0.5,mass=0.1")
     _add_grid(sp)
-    sp.add_argument("--tol", type=float, default=bose_mod.DEFAULT_TOL)
-    sp.add_argument("--max-iter", type=int, default=bose_mod.DEFAULT_MAX_ITER)
+    sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    sp.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     sp.add_argument("--out", default=None, help="solution field output")
     sp.add_argument("--report", default=None)
-    sp.set_defaults(handler=_cmd_bose)
 
     sp = sub.add_parser(
         "verify", help="check f >= sum a_n (*^n f) and the t_Q mass bound on a stored field"
@@ -324,22 +346,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_coeffs(sp)
     sp.add_argument("--field", required=True, help="CVLF file to check")
     sp.add_argument("--out", default=None)
-    sp.set_defaults(handler=_cmd_verify)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
 
     start = time.perf_counter()
     code = 1  # recorded if the handler raises something not the package's own
     try:
-        code = args.handler(args)
+        code = globals()[f"_cmd_{args.subcommand}"](args)
     except ConvlabError as exc:
         sys.stderr.write(f"error: {exc}\n")
         code = 3 if isinstance(exc, (NotConverged, CeilingViolated, ConvergenceFailure)) else 2
@@ -352,7 +372,7 @@ def _write_manifest(args, start: float, code: int) -> None:
     config = {
         k: repr(v) if isinstance(v, float) and not math.isfinite(v) else v  # strict JSON
         for k, v in vars(args).items()
-        if k not in ("handler", "manifest") and not callable(v)
+        if k != "manifest"
     }
     manifest = {
         "tool": "convlab",

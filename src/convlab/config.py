@@ -2,7 +2,8 @@
 
 Every numerical contract in the package draws its thresholds from one
 ``Tolerances`` record, read as ``DEFAULT_TOLS``; solvers take an explicit
-``tol`` for their own stopping rules. The paper's two pointwise claims are
+``tol`` for their own stopping rules, defaulting, as the command line does,
+to ``DEFAULT_TOL`` and ``DEFAULT_MAX_ITER``. The paper's two pointwise claims are
 each judged to roundoff by field._within_roundoff: min >= -slack max(1, max|f|).
 """
 
@@ -26,3 +27,6 @@ class Tolerances:
 
 DEFAULT_TOLS = Tolerances()
 
+# construct's and bose.solve's stopping rule: L1 increment below tol, or max_iter steps
+DEFAULT_TOL = 1e-10
+DEFAULT_MAX_ITER = 10_000

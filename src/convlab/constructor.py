@@ -53,14 +53,11 @@ import math
 
 import numpy as np
 
-from .config import DEFAULT_TOLS
+from .config import DEFAULT_MAX_ITER, DEFAULT_TOL, DEFAULT_TOLS
 from .errors import InvalidInput, NotConverged
 from .field import Field, apply_p, integral, l1_norm, min_value
 from .field import _field_from_symbol, _mass_symbol, _p_of_symbol, _within_roundoff
 from .qpoly import CoeffVector, PolyQ
-
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 10_000
 
 
 @dataclass(frozen=True)

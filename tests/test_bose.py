@@ -20,6 +20,7 @@ from convlab import (
     bose_solve,
     conv_power,
     convolve,
+    delta_field,
     gaussian_field,
     integral,
     l1_norm,
@@ -118,8 +119,6 @@ class TestResolvent:
         # continuum kernel e^{-sqrt(xi) |x|} / (2 sqrt(xi)), periodized;
         # the discrete multiplier truncates at Nyquist, denting only the
         # origin node by about L / (12 M) relative
-        from convlab import delta_field
-
         xi = 1.0
         out = resolvent_apply(delta_field(G, mass=1.0), xi)
         x = G.axis_coords()
@@ -142,6 +141,24 @@ class TestResolvent:
         f = random_smooth_field(G, rng, nonneg=True)
         out = resolvent_apply(f, 0.8, 1)
         assert min_value(out) >= -1e-13 * l1_norm(f)
+
+    @pytest.mark.parametrize(
+        "extent,points,xi,low",
+        [
+            (512.0, 1024, 9.0, -1.654e-4),
+            (256.0, 1024, 4.0, -6.939e-6),
+            (8.0, 256, 1.0, 1.832e-2),  # the spacing of cli-script's bose step
+            (16.0, 128, 1.0, 3.339e-4),  # the spacing of bose-mix's 128^2 grids
+        ],
+    )
+    def test_grid_kernel_sign(self, extent, points, xi, low):
+        # the multiplier stops at Nyquist, so the grid kernel dips below zero
+        # where the spacing L/M is not small against the decay length xi^(-1/2);
+        # its mass stays 1/xi
+        grid = Grid(dim=1, extent=extent, points_per_axis=points)
+        kernel = resolvent_apply(delta_field(grid, mass=1.0), xi)
+        assert min_value(kernel) == pytest.approx(low, rel=1e-3)
+        assert integral(kernel) == pytest.approx(1.0 / xi, rel=1e-14)
 
     def test_argument_validation(self):
         f = uniform_field(G)

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import shlex
 import shutil
@@ -11,9 +12,11 @@ import numpy as np
 import pytest
 
 from convlab import (
-    CoeffVector, Field, cli, errors, read_cvlf, uniform_field, verify_inequality, write_cvlf,
+    CoeffVector, Field, cli, construct, errors, read_cvlf, uniform_field, verify_inequality,
+    write_cvlf,
 )
 from convlab import bose as bose_module
+from convlab import field as field_module
 from convlab.cli import main
 from convlab.config import DEFAULT_TOLS, Tolerances
 from convlab.field import Grid, convolve, gaussian_field
@@ -551,8 +554,10 @@ class TestVerify:
         g = Grid(dim=1, extent=8.0, points_per_axis=256)
         write_cvlf(uniform_field(g, mass=0.2), str(tmp_path / "f.cvlf"))
         sums = []
-        real = cli.field._exact_sum
-        monkeypatch.setattr(cli.field, "_exact_sum", lambda *a, **k: sums.append(1) or real(*a, **k))
+        real = field_module._exact_sum
+        monkeypatch.setattr(
+            field_module, "_exact_sum", lambda *a, **k: sums.append(1) or real(*a, **k)
+        )
         assert main(["verify", "--coeffs", "1", "--field", "f.cvlf", "--out", "v.json"]) == 0
         assert len(sums) == 2
         assert read_strict_json(tmp_path / "v.json")["slack_ok"] is True
@@ -644,6 +649,54 @@ class TestExitCodes:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert read_json(tmp_path / "convlab-manifest.json")["exit_code"] == 2
+
+
+HELP = Path(__file__).resolve().parent / "cli_help"
+
+
+class TestParser:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize(
+        "argv,option,value,default",
+        [
+            (["construct", "--coeffs", "1", "--psi", "gaussian:sigma=0.5,mass=0.1", *GRID_ARGS],
+             "tol", 1e-8, 1e-10),
+            (["bose", "--V", "gaussian:sigma=0.6,mass=0.3", *GRID_ARGS], "mu", 0.5, 0.0),
+        ],
+        ids=["construct-tol", "bose-mu"],
+    )
+    def test_no_value_carried_to_the_next_call(self, tmp_path, argv, option, value, default):
+        main(["--manifest", "first.json", *argv, f"--{option}", str(value)])
+        assert read_json(tmp_path / "first.json")["config"][option] == value
+        main(["--manifest", "second.json", *argv])
+        assert read_json(tmp_path / "second.json")["config"][option] == default
+
+    @pytest.mark.parametrize(
+        "argv,solver",
+        [
+            (["construct", "--coeffs", "1", "--psi", "x"], construct),
+            (["bose", "--V", "x"], bose_module.solve),
+        ],
+        ids=["construct", "bose"],
+    )
+    def test_iteration_defaults_are_the_solvers(self, argv, solver):
+        args = cli.build_parser().parse_args(argv)
+        params = inspect.signature(solver).parameters
+        assert (args.tol, args.max_iter) == (params["tol"].default, params["max_iter"].default)
+
+    @pytest.mark.parametrize(
+        "sub", ["", "tq", "series", "disk", "construct", "witness", "bose", "verify"]
+    )
+    def test_help_unchanged(self, tmp_path, monkeypatch, capsys, sub):
+        # the help texts kept in tests/cli_help (80 columns), printed by the
+        # one parser after a command has used it
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main(["tq", "--coeffs", "1"]) == 0
+        capsys.readouterr()
+        assert main([*filter(None, [sub]), "--help"]) == 0
+        assert capsys.readouterr().out == (HELP / f"{sub or 'convlab'}.txt").read_text()
 
 
 class TestDeterminism:

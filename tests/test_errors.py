@@ -13,8 +13,10 @@ from convlab import ConvlabError, InvalidInput, errors
 
 SRC = Path(convlab.__file__).resolve().parent
 
-# Every raise in the package is a ConvlabError.
-ALLOWED = set()
+# Every raise in the package is a ConvlabError, apart from the one PEP 562
+# requires: the package's module __getattr__ raises AttributeError for an
+# unknown name, which hasattr and `from convlab import x` depend on.
+ALLOWED = {("__init__.py", "__getattr__", "AttributeError")}
 
 
 def builtin_raises(source: str, filename: str) -> set[tuple[str, str, str]]:
