@@ -96,6 +96,8 @@ def _parse_field_spec(spec: str, grid: Grid) -> Field:
                 raise InvalidInput(f"field parameter {part!r} is not a number") from None
             if not math.isfinite(value):
                 raise InvalidInput(f"field parameter {key} must be finite, got {val.strip()}")
+            if key in params:
+                raise InvalidInput(f"field parameter {key} appears more than once in {spec!r}")
             params[key] = value
     mass = params.pop("mass", 1.0)
     if kind == "gaussian":

@@ -6,7 +6,7 @@ from Psi_0 = psi on mass symbols, where *^n is the n-th power: at every
 frequency it is the scalar recursion w <- s + P(w) from w = s, s the
 symbol of psi with its zero-frequency value set to integral(psi). That is
 the paper's Psi_hat = C(psi_hat), taken to finitely many steps: one
-forward transform before the loop and the inverse transforms after it.
+forward transform before the loop and one inverse transform after it.
 A frequency whose value repeats bit for bit is frozen: it is equal in the
 last iterate and the one before it, and the loop stops computing it. The
 loop allocates only at steps 2, 4, 8, ..., where it looks for frozen
@@ -26,21 +26,22 @@ construct's report:
   one below tol. They are the L1 increments whenever the increments are
   non-negative.
 - monotone_ok checks the output in real space, where the intermediate
-  iterates never exist: min(Psi_J - Psi_{J-1}) and min(f - psi) are both
-  >= -nonneg_slack max(1, max|f|) (field._within_roundoff, as for the seed).
-  Given it, the last increment's L1 norm is within 2 nonneg_slack
-  max(1, max|f|) L^d of l1_deltas[-1], to roundoff.
-- residual is l1_norm((f - P(f)) - psi) in real space, the check of the
-  fixed point that shares no step with the loop; P(f) = sum a_n (*^n f).
+  iterates never exist: min(Psi_{J+1} - Psi_J), the next increment formed
+  as psi - (f - P(f)), and min(f - psi) are both >= -nonneg_slack
+  max(1, max|f|) (field._within_roundoff, as for the seed); P(f) = sum
+  a_n (*^n f). Given it, the next increment's L1 norm is within
+  2 nonneg_slack max(1, max|f|) L^d of its mass, to roundoff.
+- residual is the L1 norm of that same increment, psi - (f - P(f)): the
+  check of the fixed point that shares no step with the loop.
 - min_slack is min(f - P(f)), from the same f - P(f) (_minus_p is the one
-  place that forms it). f misses the inequality by the last increment, as
+  place that forms it). f misses the inequality by the next increment, as
   f - P(f) = psi - (Psi_{J+1} - Psi_J), not by roundoff: -3.7e-13 on 1-d 4096
   at tol 1e-10, -8.2e-16 at 1e-13. verify_slack absorbs that gap.
 - residual is None exactly when the run overflowed: in a step, which
-  leaves the last finite iterate and overwrites its predecessor (so
-  monotone_ok checks f - psi alone), or while f, f - P(f), the residual
-  or integral(f) was formed (f is None if it could not be, and
-  monotone_ok False). final_mass is then the last zero-frequency value.
+  leaves the last finite iterate, or while f, f - P(f), the increment, the
+  residual or integral(f) was formed. monotone_ok then checks f - psi
+  alone (f is None if it could not be formed, and monotone_ok False).
+  final_mass is then the last zero-frequency value.
 
 bose.solve runs its own loop and reports in the same SolveReport. The
 tests keep the field-space form of both loops as oracles.
@@ -115,30 +116,29 @@ def _require_poly(coeffs: CoeffVector, p: PolyQ) -> None:
 
 def _iterate_symbol(
     s: np.ndarray, coeffs: CoeffVector, tol: float, max_iter: int
-) -> tuple[np.ndarray, np.ndarray | None, list[float], list[float]]:
+) -> tuple[np.ndarray, bool, list[float], list[float]]:
     """Run w <- s + P(w) from w = s at every frequency until the
     zero-frequency increment drops below tol or max_iter steps have run.
 
-    Returns the last iterate, the one before it, the zero-frequency
-    increments and the zero-frequency values. A step that overflows ends
-    the run: the last iterate is then the final finite one and the one
-    before it None, its buffer having held the overflowed step.
+    Returns the last iterate, whether a step overflowed, the
+    zero-frequency increments and the zero-frequency values. A step that
+    overflows ends the run, and the last iterate is the final finite one.
 
     A frequency whose last two values are equal bit for bit is frozen: the
     step maps its value to itself from then on. At steps 2, 4, 8, ... the
     run compares the last two iterates, and when at least half of the
     frequencies still iterated have frozen, it goes on with the others
     only, gathered into shorter arrays. Flat index 0, the zero frequency,
-    stays among them until the run stops. The full-size buffers keep the
-    frozen values, which are the same in the last iterate and the one
-    before it; the rest are written back when the run stops.
+    stays among them until the run stops. The full-size buffer keeps the
+    frozen values; the rest are written back when the run stops.
     """
     shape, s = s.shape, s.reshape(-1)
     masses = [float(s[0].real)]
     deltas: list[float] = []
     # Two buffers, swapped each step: the step is written into the older one.
     w, acc = s.copy(), np.empty_like(s)
-    full_w = full_prev = live = None  # set at the first compaction
+    full_w = live = None  # set at the first compaction
+    overflowed = False
     check = 2
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -161,22 +161,18 @@ def _iterate_symbol(
                         continue
                     keep = np.flatnonzero(moving)
                     if live is None:
-                        full_w, full_prev, live = w, acc, keep
+                        full_w, live = w, keep
                     else:
                         full_w[live] = w
-                        full_prev[live] = w  # equal to acc where frozen
                         live = live[keep]
                     # the next step overwrites acc, so it needs no gather
                     s, w, acc = s[keep], w[keep], np.empty(keep.size, dtype=w.dtype)
     except FloatingPointError:
-        acc = None
+        overflowed = True
     if live is not None:
         full_w[live] = w
         w = full_w
-        if acc is not None:
-            full_prev[live] = acc
-            acc = full_prev
-    return w.reshape(shape), None if acc is None else acc.reshape(shape), deltas, masses
+    return w.reshape(shape), overflowed, deltas, masses
 
 
 def construct(
@@ -211,7 +207,7 @@ def construct(
     grid = psi.grid
     s = _mass_symbol(psi)
     s[(0,) * grid.dim] = seed_mass
-    w, prev, deltas, masses = _iterate_symbol(s, coeffs, tol, max_iter)
+    w, overflowed, deltas, masses = _iterate_symbol(s, coeffs, tol, max_iter)
     # Each symbol is released as soon as it is no longer read, so the inverse
     # transforms below hold no more complex arrays than the loop did.
     del s
@@ -221,12 +217,12 @@ def construct(
             f = _field_from_symbol(grid, w)
             del w
             floor = min_value(f - psi)
-            if prev is not None:
-                floor = min(floor, min_value(f - _field_from_symbol(grid, prev)))
-                del prev
+            if not overflowed:
                 g, slack = _minus_p(f, coeffs)
                 if g is not None:
-                    final_mass, residual = integral(f), l1_norm(g - psi)
+                    step = psi - g  # Psi_{J+1} - Psi_J
+                    final_mass, residual = integral(f), l1_norm(step)
+                    floor = min(floor, min_value(step))
     except (FloatingPointError, OverflowError):
         pass  # past the float range in real space: reported as an overflow
     report = SolveReport(

@@ -183,8 +183,8 @@ def fill_first_horner(t: np.ndarray, coeffs: CoeffVector, out: np.ndarray) -> np
 def full_iterate_symbol(s: np.ndarray, coeffs: CoeffVector, tol: float, max_iter: int):
     """constructor._iterate_symbol computing every frequency at every step,
     on fill_first_horner: the oracle of the loop that drops the frozen
-    frequencies. Returns the last iterate, the one before it (None after an
-    overflowed step), the zero-frequency increments and values."""
+    frequencies. Returns the last iterate, whether a step overflowed, the
+    zero-frequency increments and values."""
     origin = (0,) * s.ndim
     masses = [float(s[origin].real)]
     deltas: list[float] = []
@@ -201,5 +201,5 @@ def full_iterate_symbol(s: np.ndarray, coeffs: CoeffVector, tol: float, max_iter
                 if deltas[-1] < tol:
                     break
     except FloatingPointError:
-        return w, None, deltas, masses
-    return w, acc, deltas, masses
+        return w, True, deltas, masses
+    return w, False, deltas, masses

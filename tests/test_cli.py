@@ -160,6 +160,8 @@ class TestInputRange:
         "argv,message",
         [
             (["--psi", "gaussian:sigma=abc,mass=0.1"], "field parameter 'sigma=abc' is not a number"),
+            (["--psi", "gaussian:sigma=0.5,sigma=5,mass=0.1"],
+             "field parameter sigma appears more than once in 'gaussian:sigma=0.5,sigma=5,mass=0.1'"),
             (["--dim", "3", "--points", "4194304", "--psi", "delta:mass=0.1"],
              "points_per_axis 4194304 is too large for dim 3"),
             (["--dim", "3", "--extent", "1e-120", "--points", "16", "--psi", "uniform:mass=0.1"],
@@ -169,7 +171,7 @@ class TestInputRange:
              "extent 1e+200 in dim 2: the box volume L^d or the cell volume h^d "
              "is outside the float range"),
         ],
-        ids=["spec-not-a-number", "grid-beyond-address-space", "cell-volume-underflows",
+        ids=["spec-not-a-number", "spec-repeated-parameter", "grid-beyond-address-space", "cell-volume-underflows",
              "box-volume-overflows"],
     )
     def test_refused_with_package_message(self, tmp_path, capsys, argv, message):
@@ -238,14 +240,14 @@ class TestConstructVerify:
         assert out["mass"] == pytest.approx(rep["mass"], rel=1e-12)
 
     def test_one_pass_over_f_minus_p_f(self, tmp_path, monkeypatch):
-        # the seed's forward transform, the last two iterates back and one
-        # pair for f - P(f), which gives both the residual and min_slack;
-        # forming P(f) again for the slack made 7
+        # the seed's forward transform, the last iterate back and one pair
+        # for f - P(f), which gives the residual, the monotone check's next
+        # increment and min_slack; forming P(f) again for the slack made 6
         calls = count_transforms(monkeypatch)
         argv = ["construct", "--coeffs", "1,1", *GRID_ARGS,
                 "--psi", "gaussian:sigma=0.5,mass=0.1", "--out", "f.cvlf", "--report", "r.json"]
         assert main(argv) == 0
-        assert len(calls) == 5
+        assert len(calls) == 4
         rep = read_strict_json(tmp_path / "r.json")
         slack, mass = verify_inequality(read_cvlf("f.cvlf"), CoeffVector([1, 1]))
         assert rep["min_slack"].hex() == slack.hex()

@@ -68,19 +68,41 @@ class TestConstruct:
     @pytest.mark.parametrize("extent", [16.0, 1.0, 0.01, 1e-4])
     def test_monotone_slack_scales_with_max_abs(self, extent, monkeypatch):
         # values, and with them their roundoff, grow like 1/L^d as the box
-        # shrinks: the backsliding stays below 3e-16 max(1, max|f|) at every scale
+        # shrinks: f - psi and the next increment psi - (f - P(f)) stay
+        # above -2e-16 max(1, max|f|) at every scale
         grid = Grid(dim=1, extent=extent, points_per_axis=4096)
         psi = gaussian_field(grid, sigma=extent / 100.0, mass=0.2)
         f, rep = construct(psi, C2, P2)
         assert rep.converged and rep.monotone_ok
-        with pytest.raises(NotConverged) as exc:
-            construct(psi, C2, P2, max_iter=rep.iterations - 1)
-        floor = min(min_value(f - psi), min_value(f - exc.value.field))
+        floor = min(min_value(f - psi), min_value(psi - (f - apply_p(f, C2))))
         top = max(1.0, float(np.abs(f.values).max()))
         assert -floor <= 1e-15 * top
         # the flag reads floor >= -nonneg_slack max(1, max|f|), both ways
         for factor, ok in ((1.01, True), (0.99, False)):
             tols = dataclasses.replace(DEFAULT_TOLS, nonneg_slack=factor * -floor / top)
+            monkeypatch.setattr(constructor_mod, "DEFAULT_TOLS", tols)
+            assert construct(psi, C2, P2)[1].monotone_ok is ok
+
+    @pytest.mark.parametrize(
+        "grid,sigma",
+        # narrow seeds whose next increment dips lower than f - psi does
+        [
+            (Grid(dim=1, extent=0.01, points_per_axis=4096), 1e-4),
+            (Grid(dim=2, extent=16.0, points_per_axis=64), 0.16),
+            (Grid(dim=3, extent=1.0, points_per_axis=16), 0.01),
+        ],
+        ids=["1d", "2d", "3d"],
+    )
+    def test_monotone_flag_reads_the_next_increment(self, grid, sigma, monkeypatch):
+        psi = gaussian_field(grid, sigma=sigma, mass=0.2)
+        f, rep = construct(psi, C2, P2)
+        assert rep.converged and rep.monotone_ok
+        low = min_value(psi - (f - apply_p(f, C2)))
+        assert low < min(min_value(f - psi), 0.0)
+        # the flag reads low >= -nonneg_slack max(1, max|f|), both ways
+        top = max(1.0, float(np.abs(f.values).max()))
+        for factor, ok in ((1.01, True), (0.99, False)):
+            tols = dataclasses.replace(DEFAULT_TOLS, nonneg_slack=factor * -low / top)
             monkeypatch.setattr(constructor_mod, "DEFAULT_TOLS", tols)
             assert construct(psi, C2, P2)[1].monotone_ok is ok
 
@@ -242,8 +264,14 @@ class TestSpectralOracle:
         assert rep.final_mass == integral(f)
         assert rep.min_slack == verify_inequality(f, c)[0]
         assert "min_slack" not in rep.to_json()
-        # min(Psi_J - Psi_{J-1}) >= -slack bounds the negative part of the
-        # last increment, whose integral is l1_deltas[-1]
+        # the residual is the L1 norm of the next increment
+        # Psi_{J+1} - Psi_J = psi - g, bit for bit; negation is exact, so
+        # l1_norm(g - psi) agrees
+        g = f - apply_p(f, c)
+        assert rep.residual == l1_norm(psi - g) == l1_norm(g - psi)
+        # the iterates rise to roundoff: the last increment's L1 norm is
+        # its integral l1_deltas[-1], and the next increment's, the residual,
+        # is its integral, each to 2 nonneg_slack max(1, max|f|) L^d
         if rep.iterations > 1:
             with pytest.raises(NotConverged) as exc:
                 construct(psi, c, p, max_iter=rep.iterations - 1)
@@ -253,6 +281,7 @@ class TestSpectralOracle:
         top = max(1.0, float(np.abs(f.values).max()))
         bound = 2.0 * DEFAULT_TOLS.nonneg_slack * top * grid.extent**grid.dim
         assert abs(l1_norm(f - before) - rep.l1_deltas[-1]) <= bound
+        assert abs(rep.residual - integral(psi - g)) <= bound
 
     def test_no_transform_in_the_loop(self, monkeypatch):
         calls = count_transforms(monkeypatch)
@@ -261,15 +290,15 @@ class TestSpectralOracle:
             calls.clear()
             _, rep = construct(seed(frac * P2.q_max), C2, P2)
             counts[rep.iterations] = len(calls)
-        # the seed's forward transform, Psi_J and Psi_{J-1} back, and the
-        # pair of f - P(f), for the residual and min_slack, whatever the
-        # iteration count
-        assert len(counts) == 2 and set(counts.values()) == {5}
+        # the seed's forward transform, Psi_J back, and the pair of
+        # f - P(f), for the next increment, the residual and min_slack,
+        # whatever the iteration count
+        assert len(counts) == 2 and set(counts.values()) == {4}
 
     def test_diverging_symbol_keeps_last_finite_iterate(self):
         s = np.full(16, 2.0 + 0.0j)
-        w, before, deltas, masses = _iterate_symbol(s, C2, 1e-10, 100)
-        assert before is None
+        w, overflowed, deltas, masses = _iterate_symbol(s, C2, 1e-10, 100)
+        assert overflowed
         # 2, 6, 38, ... until the square passes the float range
         assert masses == list(scalar_masses(2.0, C2, len(masses)))
         assert deltas == [b - a for a, b in zip(masses, masses[1:])]
@@ -290,6 +319,12 @@ class TestSpectralOracle:
         assert rep.iterations < 10**6 and rep.final_mass == rep.masses[-1] > 1e150
         if extent == 8.0:
             assert np.isfinite(f.values).all() and rep.monotone_ok
+            # no next increment: P(f) overflows, and the flag reads f - psi alone
+            with np.errstate(over="raise", invalid="raise"), pytest.raises(FloatingPointError):
+                apply_p(f, C2)
+            floor = min_value(f - psi)
+            for slack in (DEFAULT_TOLS.nonneg_slack, 0.0):
+                assert rep.monotone_ok is _within_roundoff(floor, f, slack)
         else:
             assert f is None and not rep.monotone_ok
         json.dumps(rep.to_json(), allow_nan=False)
@@ -299,7 +334,8 @@ class TestSpectralOracle:
         # the symbol of psi, two iterate buffers and the transforms'
         # temporaries, all on the half spectrum: measured at 5.20 * 8 M^d
         # bytes, where full-size complex symbols took 10.02 * 8 M^d; the
-        # shorter arrays of the moving frequencies stay below that peak
+        # peak comes while f - P(f) is formed, and the loop, the shorter
+        # arrays of the moving frequencies included, stays below it
         grid = Grid(dim=3, extent=24.0, points_per_axis=32)
         psi = gaussian_field(grid, sigma=0.8, mass=0.5 * P2.q_max)
         tracemalloc.start()
@@ -313,9 +349,7 @@ class TestSpectralOracle:
 
 
 def same_bytes(a, b):
-    return (a is None and b is None) or (
-        a is not None and b is not None and a.shape == b.shape and a.tobytes() == b.tobytes()
-    )
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestFrozenFrequencies:
@@ -346,9 +380,9 @@ class TestFrozenFrequencies:
         s[(0,) * grid.dim] = integral(psi)
         for max_iter in self.MAX_ITERS:
             sizes.clear()
-            w, prev, deltas, masses = _iterate_symbol(s, c, DEFAULT_TOL, max_iter)
+            w, overflowed, deltas, masses = _iterate_symbol(s, c, DEFAULT_TOL, max_iter)
             want = full_iterate_symbol(s, c, DEFAULT_TOL, max_iter)
-            assert same_bytes(w, want[0]) and same_bytes(prev, want[1]), max_iter
+            assert same_bytes(w, want[0]) and not overflowed and not want[1], max_iter
             assert deltas == want[2] and masses == want[3], max_iter
         # the full run left most frequencies behind
         assert min(sizes) < s.size / 2
@@ -360,9 +394,9 @@ class TestFrozenFrequencies:
         sizes = self.spy_sizes(monkeypatch)
         s = np.full(4096, 1e-20 + 0.0j)
         s[0] = 2.0
-        w, prev, deltas, masses = _iterate_symbol(s, C2, 1e-10, 100)
-        want, want_prev, want_deltas, want_masses = full_iterate_symbol(s, C2, 1e-10, 100)
-        assert prev is None and want_prev is None
+        w, overflowed, deltas, masses = _iterate_symbol(s, C2, 1e-10, 100)
+        want, want_overflowed, want_deltas, want_masses = full_iterate_symbol(s, C2, 1e-10, 100)
+        assert overflowed and want_overflowed
         assert same_bytes(w, want)
         assert deltas == want_deltas and masses == want_masses
         assert masses[-1] * masses[-1] == math.inf
@@ -511,13 +545,13 @@ class TestRoundtrip:
 
     def test_one_seed_transform_pair(self, monkeypatch):
         # f - P(f) is formed once for the slack and the seed: one transform
-        # pair, then construct's five; the same bits as forming it twice
+        # pair, then construct's four; the same bits as forming it twice
         f, _ = construct(seed(0.15), C2, P2)
         psi = f - apply_p(f, C2)
         rebuilt, _ = construct(Field(G, np.maximum(psi.values, 0.0)), C2, P2)
         calls = count_transforms(monkeypatch)
         assert uniqueness_roundtrip(f, C2, P2) == l1_norm(f - rebuilt)
-        assert len(calls) == 7 and set(calls) == {"rfftn", "irfftn"}
+        assert len(calls) == 6 and set(calls) == {"rfftn", "irfftn"}
 
     def test_random_coeff_self(self):
         rng = np.random.default_rng(92)
