@@ -22,9 +22,12 @@ symbol S so formed is carried forward as the symbol of u_next, in place
 of a third transform of u_next; it differs from that transform by
 roundoff. The increment u_next - u is written into the buffer that held
 V(1-u). Its L1 norm and the mass of u_next are the exact sums of
-integral and l1_norm, cell_volume * fsum. An iterate that leaves the
-float range, in a step or in the inverse transform, ends the run as an
-overflow.
+integral and l1_norm, cell_volume * fsum. One loop takes every step,
+one per pass. Once the last increment is below tol, or max_iter steps
+are accepted, it takes one step more: that step is not accepted and
+not checked for backsliding, and its L1 increment is the residual. An
+iterate that leaves the float range, in a step or in the inverse
+transform, ends the run as an overflow.
 
 The non-negativity argument runs through f = mu^(1/m) R[u]: the
 certificate checks mu^(1/m) integral(u) / xi < 1, f >= *^(m+1) f, and
@@ -42,7 +45,7 @@ import numpy as np
 
 from .config import DEFAULT_MAX_ITER, DEFAULT_TOL, DEFAULT_TOLS
 from .constructor import SolveReport, _minus_p, _require_limits
-from .errors import CeilingViolated, InvalidInput
+from .errors import CeilingViolated, InvalidInput, _require_index
 from .field import Field, Grid, integral, min_value
 from .field import _exact_sum, _field_from_symbol, _fresh, _k_squared, _mass_symbol
 from .field import _symbol_of, _values_of, _within_roundoff
@@ -58,7 +61,7 @@ class BoseProblem:
     grid: Grid
 
     def __post_init__(self):
-        if self.m < 1:
+        if _require_index("resolvent order m", self.m) < 1:
             raise InvalidInput(f"resolvent order m must be >= 1, got {self.m}")
         if not 0 < self.xi < inf:
             raise InvalidInput(f"spectral shift xi must be positive and finite, got {self.xi}")
@@ -120,11 +123,12 @@ def solve(
     symbol of the module docstring, until the L1 increment drops below tol
     or max_iter steps have run.
 
-    The report records every L1 increment and every mass (the first being
-    integral(u_0) = 0), whether any step moved a node down by more than
-    nonneg_slack, and the residual L1 norm of u - step(u) for the
-    last iterate u, formed by one more step. A step that overflows ends
-    the run unconverged, with residual None and u the last finite iterate.
+    The report records every accepted L1 increment and every mass (the
+    first being integral(u_0) = 0), whether any step before the residual's
+    moved a node down by more than nonneg_slack, and the residual: the L1
+    norm of step(u) - u for the last iterate u, the step after the last
+    accepted one, taken and not kept. A step that overflows ends the run
+    unconverged, with residual None and u the last finite iterate.
 
     The smallness guard integral(V)/xi^m < 0.5 keeps the iteration inside
     the empirically contractive regime where the ceiling u <= 1 holds; the
@@ -153,49 +157,35 @@ def solve(
     # u_0 = 0 and its symbol; work holds V(1-u), then the increment
     u, work = np.zeros(grid.shape), np.empty(grid.shape)
     s = np.zeros(r_m.shape, dtype=complex)
-
-    def advance(u: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The successor of u and its symbol, the increment left in work;
-        s, the symbol of u, is overwritten."""
-        np.multiply(v, np.subtract(1.0, u, out=work), out=work)
-        s_next = _symbol_of(grid, work)
-        if mu > 0:
-            np.power(s, m + 1, out=s)
-            s *= mu
-            s_next += s
-        s_next *= r_m
-        nxt = _values_of(grid, s_next, out=s)
-        np.subtract(nxt, u, out=work)
-        return nxt, s_next
-
-    def increment_norm(top: float | None = None) -> float | None:
-        """l1_norm of the increment in work, whose max|x| is top if given;
-        None if it is not finite."""
-        total = _exact_sum(work, absolute=True, top=top)
-        return cell_volume * total if math.isfinite(total) else None
-
     deltas: list[float] = []
     masses = [0.0]
-    monotone_ok, delta, residual = True, None, None
+    monotone_ok, residual = True, None
     try:
         with np.errstate(over="raise", invalid="raise"):
-            for _ in range(max_iter):
-                nxt, s_next = advance(u, s)
+            while True:
+                last = len(deltas) == max_iter or (deltas and deltas[-1] < tol)
+                np.multiply(v, np.subtract(1.0, u, out=work), out=work)
+                s_next = _symbol_of(grid, work)
+                if mu > 0:  # s, the symbol of u, is overwritten
+                    np.power(s, m + 1, out=s)
+                    s *= mu
+                    s_next += s
+                s_next *= r_m
+                nxt = _values_of(grid, s_next, out=s)
+                np.subtract(nxt, u, out=work)
                 low = work.min()
-                if low < -DEFAULT_TOLS.nonneg_slack:  # absolute: u <= 1, so max(1, max|u|) = 1
+                # absolute: u <= 1, so max(1, max|u|) = 1
+                if not last and low < -DEFAULT_TOLS.nonneg_slack:
                     monotone_ok = False
-                delta = increment_norm(float(max(-low, work.max())))
-                if delta is None:
+                total = _exact_sum(work, absolute=True, top=float(max(-low, work.max())))
+                if not math.isfinite(total):
                     break  # the inverse transform left the float range
-                mass = cell_volume * _exact_sum(nxt)
-                deltas.append(delta)
-                masses.append(mass)
-                u, s = nxt, s_next
-                if delta < tol:
+                if last:
+                    residual = cell_volume * total  # the step is taken, not kept
                     break
-            if delta is not None:
-                advance(u, s)
-                residual = increment_norm()
+                deltas.append(cell_volume * total)
+                masses.append(cell_volume * _exact_sum(nxt))
+                u, s = nxt, s_next
     except (FloatingPointError, OverflowError):
         pass  # a diverging step: u is the last finite iterate
     report = SolveReport(

@@ -55,7 +55,7 @@ import math
 import numpy as np
 
 from .config import DEFAULT_MAX_ITER, DEFAULT_TOL, DEFAULT_TOLS
-from .errors import InvalidInput, NotConverged
+from .errors import InvalidInput, NotConverged, _require_index
 from .field import Field, apply_p, integral, l1_norm, min_value
 from .field import _field_from_symbol, _mass_symbol, _p_of_symbol, _within_roundoff
 from .qpoly import CoeffVector, PolyQ
@@ -103,7 +103,7 @@ class SolveReport:
 
 
 def _require_limits(tol: float, max_iter: int) -> None:
-    if not max_iter >= 1:
+    if not _require_index("max_iter", max_iter) >= 1:
         raise InvalidInput(f"max_iter must be >= 1, got {max_iter}")
     if not 0 < tol < math.inf:
         raise InvalidInput(f"tol must be positive and finite, got {tol}")

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that
+every integer parameter passes where it enters."""
+
+import operator
 
 
 class ConvlabError(Exception):
@@ -7,6 +10,15 @@ class ConvlabError(Exception):
 
 class InvalidInput(ConvlabError, ValueError):
     """Every refusal of an input where it enters the package; a ValueError too."""
+
+
+def _require_index(name: str, value) -> int:
+    """value as an int if it is one (an int or a numpy integer, by
+    operator.index); InvalidInput naming it otherwise, 1.5 and 2.0 alike."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInput(f"{name} must be an integer, got {value!r}") from None
 
 
 class NotConverged(ConvlabError):

@@ -49,7 +49,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, _require_index
 from .qpoly import CoeffVector
 
 CVLF_MAGIC = b"CVLF"
@@ -64,6 +64,8 @@ class Grid:
     points_per_axis: int
 
     def __post_init__(self):
+        _require_index("dim", self.dim)
+        _require_index("points_per_axis", self.points_per_axis)
         if self.dim not in (1, 2, 3):
             raise InvalidInput(f"dim must be 1, 2 or 3, got {self.dim}")
         if not 0 < self.extent < math.inf:

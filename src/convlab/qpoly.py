@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InvalidInput
+from .errors import InvalidInput, _require_index
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,8 @@ class CoeffVector:
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Sequence[int]):
-        object.__setattr__(self, "coeffs", tuple(int(a) for a in coeffs))
+        coeffs = tuple(_require_index(f"coefficient a_{n}", a) for n, a in enumerate(coeffs, 2))
+        object.__setattr__(self, "coeffs", coeffs)
         self._validate()
 
     def _validate(self) -> None:

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -91,6 +92,13 @@ class TestProblem:
             BoseProblem(m=1, xi=1.0, mu=0.0, V=v, grid=other)
         with pytest.raises(ValueError):
             BoseProblem(m=1, xi=1.0, mu=0.0, V=-1.0 * v, grid=G)
+
+    @pytest.mark.parametrize("m", [1.5, 2.0])
+    def test_order_must_be_an_integer(self, m):
+        # a fractional resolvent power is a different equation
+        v = gaussian_field(G, sigma=0.5, mass=0.2)
+        with pytest.raises(InvalidInput, match=f"^resolvent order m must be an integer, got {m}$"):
+            BoseProblem(m=m, xi=1.0, mu=0.0, V=v, grid=G)
 
     @pytest.mark.parametrize("xi,mu,name", [(np.inf, 0.0, "xi"), (np.nan, 0.0, "xi"),
                                             (1.0, np.inf, "mu"), (1.0, np.nan, "mu")])
@@ -256,9 +264,9 @@ class TestSolve:
 
     @pytest.mark.parametrize(
         "limits",
-        [{"max_iter": 0}, {"max_iter": -1}, {"tol": 0.0}, {"tol": -1e-10}, {"tol": math.nan},
-         {"tol": math.inf}],
-        ids=["max_iter=0", "max_iter=-1", "tol=0", "tol<0", "tol=nan", "tol=inf"],
+        [{"max_iter": 0}, {"max_iter": -1}, {"max_iter": 3.0}, {"tol": 0.0}, {"tol": -1e-10},
+         {"tol": math.nan}, {"tol": math.inf}],
+        ids=["max_iter=0", "max_iter=-1", "max_iter=3.0", "tol=0", "tol<0", "tol=nan", "tol=inf"],
     )
     def test_limits_rejected(self, limits):
         (name,) = limits
@@ -273,6 +281,47 @@ class TestSolve:
         _, rep_old = old_solve(prob)
         assert sol.report.converged
         assert not sol.report.monotone_ok and not rep_old.monotone_ok
+
+    def test_backsliding_skips_the_residual_step(self):
+        # the step after u_1 backslides, but at max_iter = 1 it is the
+        # residual step: not accepted, so not checked
+        prob = problem(v_mass=0.3)
+        one = pytest.raises(NotConverged, bose_solve, prob, max_iter=1).value.report
+        two = pytest.raises(NotConverged, bose_solve, prob, max_iter=2).value.report
+        assert one.monotone_ok and not two.monotone_ok
+        assert one.residual == two.l1_deltas[1] == 0.025594501366199233
+
+    @pytest.mark.parametrize("mu,m", [(0.0, 1), (0.01, 1), (0.05, 2)])
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_residual_is_the_next_step(self, mu, m, k):
+        # the residual of a run capped at k steps is the increment that the
+        # run capped at k + 1 accepts as its last, bit for bit
+        prob = problem(v_mass=0.3, mu=mu, m=m)
+        capped = pytest.raises(NotConverged, bose_solve, prob, max_iter=k).value.report
+        longer = pytest.raises(NotConverged, bose_solve, prob, max_iter=k + 1).value.report
+        assert capped.l1_deltas == longer.l1_deltas[:k]
+        assert capped.masses == longer.masses[: k + 1]
+        assert capped.residual == longer.l1_deltas[k]
+
+    def test_increment_norm_overflow_is_accepted(self, monkeypatch):
+        # the finiteness test reads the exact sum of |u_next - u|, not its
+        # product with the cell volume: a finite sum whose L1 norm rounds to
+        # inf is accepted, and the run goes on
+        grid = Grid(dim=1, extent=1024.0, points_per_axis=256)  # cell volume 4
+        prob = problem(v_mass=0.3, mu=0.01, sigma=16.0, grid=grid)
+        real, calls = bose_module._exact_sum, []
+
+        def big(x, absolute=False, top=None):
+            if absolute:
+                calls.append(1)
+                if len(calls) == 2:
+                    return sys.float_info.max
+            return real(x, absolute=absolute, top=top)
+
+        monkeypatch.setattr(bose_module, "_exact_sum", big)
+        rep = bose_solve(prob).report
+        assert rep.l1_deltas[1] == math.inf
+        assert rep.converged and rep.iterations > 2
 
     def test_overflow_ends_the_run(self):
         # mu = 1e6 all but squares the mass every step (0.3, 9e4, 8.1e15, ...,

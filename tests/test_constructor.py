@@ -486,7 +486,7 @@ class TestFixedPoint:
         assert u is ones
         assert str(rep.not_converged(field=u)) == "the step overflowed after 0 iterations"
 
-    @pytest.mark.parametrize("max_iter", [0, -1])
+    @pytest.mark.parametrize("max_iter", [0, -1, 3.0])
     def test_max_iter_rejected(self, max_iter):
         with pytest.raises(ValueError, match="max_iter"):
             fixed_point(lambda f: f, self.ones(), 1e-10, max_iter)

@@ -66,6 +66,12 @@ class TestGrid:
             with pytest.raises(ValueError, match="extent must be positive and finite"):
                 Grid(dim=1, extent=extent, points_per_axis=64)
 
+    @pytest.mark.parametrize("name,value", [("dim", 1.0), ("points_per_axis", 64.0)])
+    def test_integer_parameters(self, name, value):
+        params = {"dim": 1, "extent": 8.0, "points_per_axis": 64, name: value}
+        with pytest.raises(InvalidInput, match=f"^{name} must be an integer, got {value}$"):
+            Grid(**params)
+
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_transform_beyond_address_space(self, dim):
         # the smallest M whose 16 M^d bytes, a bound on the complex symbol,
@@ -823,7 +829,8 @@ class TestIO:
     def test_csv(self, tmp_path):
         path = str(tmp_path / "f.csv")
         write_csv(delta_field(G1, mass=1.0), path)
-        lines = open(path).read().splitlines()
+        with open(path) as fh:
+            lines = fh.read().splitlines()
         assert lines[0] == "x,value"
         assert len(lines) == 257
         x0, v0 = lines[1].split(",")
