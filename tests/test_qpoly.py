@@ -95,13 +95,10 @@ class TestCoeffVector:
         with pytest.raises(InvalidInput, match=r"negative coefficient in \(1, -1\)"):
             CoeffVector([1, -1])
 
-    @pytest.mark.parametrize(
-        "coeffs,entry", [([1.5], "a_2 .* 1.5"), ([1.9, 0], "a_2 .* 1.9"), ([0.5], "a_2 .* 0.5")],
-        ids=["1.5", "1.9,0", "0.5"],
-    )
-    def test_validation_refuses_non_integer(self, coeffs, entry):
-        # once truncated by int(): 1.5 and 1.9 became 1, and 0.5 "all zero"
-        with pytest.raises(InvalidInput, match=f"^coefficient {entry}"):
+    @pytest.mark.parametrize("coeffs", [[1.5], [1.9, 0], [0.5]], ids=["1.5", "1.9,0", "0.5"])
+    def test_validation_refuses_non_integer(self, coeffs):
+        # a truncated entry would give t_q of another Q
+        with pytest.raises(InvalidInput, match=f"^coefficient a_2 must be an integer, got {coeffs[0]}$"):
             CoeffVector(coeffs)
 
     def test_parse(self):
