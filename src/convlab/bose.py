@@ -108,7 +108,7 @@ def resolvent_apply(f: Field, xi: float, m: int = 1) -> Field:
     kernel is non-negative, which coarse grids break (module docstring)."""
     if not xi > 0:
         raise InvalidInput("xi must be positive")
-    if m < 1:
+    if _require_index("m", m) < 1:
         raise InvalidInput("m must be >= 1")
     return _field_from_symbol(f.grid, _mass_symbol(f) * _resolvent_symbol(f.grid, xi, m))
 

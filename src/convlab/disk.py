@@ -9,19 +9,22 @@ root set. For the other two, P' and P/z have non-negative coefficients, so
 are evaluated exactly at the double r = 0.999 t_q by qpoly's one exact
 evaluator and rounded once. The lower Lipschitz bound
 |Q(z1) - Q(z2)| >= (1 - P'(r)) |z1 - z2| then gives injectivity of Q;
-random pairs drawn with seed 0 cross-check it. Every coefficient here is
-qpoly's layout; qpoly's one float Horner checks the roots and the pairs.
+random pairs cross-check it. They are drawn with seed 0 as a unit radius
+and a phase, kept for the last pair count asked for (so a process draws
+them once), and scaled to each disk. Every coefficient here is qpoly's
+layout; qpoly's one float Horner checks the roots and the pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 
 import numpy as np
 
 from . import accel
 from .config import DEFAULT_TOLS
-from .errors import ConvergenceFailure, InvalidInput
+from .errors import ConvergenceFailure, InvalidInput, _require_index
 from .qpoly import CoeffVector, PolyQ, _exact_at, _horner, derivative
 
 SCAN_RADIUS_FACTOR = 0.999
@@ -73,10 +76,20 @@ def qprime_roots(coeffs: CoeffVector) -> list[complex]:
     return sorted(polished, key=lambda z: (abs(z), z.real, z.imag))
 
 
-def _sample_disk(rng: np.random.Generator, n: int, radius: float) -> np.ndarray:
-    r = radius * np.sqrt(rng.random(n))
-    th = 2.0 * np.pi * rng.random(n)
-    return r * np.exp(1j * th)
+@functools.lru_cache(maxsize=1)
+def _unit_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """sqrt(U) and exp(i theta) of n pairs drawn with seed 0, as read-only
+    arrays (s1, e1, s2, e2): z_k = (radius * s_k) * e_k is uniform on the
+    disk of that radius. Kept for the last n only, so it is drawn once per
+    process at a fixed pair count."""
+    rng = np.random.default_rng(0)
+    parts = []
+    for _ in range(2):
+        parts.append(np.sqrt(rng.random(n)))
+        parts.append(np.exp(1j * (2.0 * np.pi * rng.random(n))))
+    for part in parts:
+        part.setflags(write=False)
+    return tuple(parts)
 
 
 def disk_scan(p: PolyQ, pair_samples: int = 10_000) -> DiskReport:
@@ -86,6 +99,7 @@ def disk_scan(p: PolyQ, pair_samples: int = 10_000) -> DiskReport:
 
     Each sup is the exact value at the radius, a double, correctly rounded,
     so a reported value below 1.0 proves the bound on the closed disk."""
+    pair_samples = _require_index("pair_samples", pair_samples)
     if pair_samples < 0:
         raise InvalidInput(f"pair_samples must be >= 0, got {pair_samples}")
     coeffs = p.coeffs
@@ -96,9 +110,8 @@ def disk_scan(p: PolyQ, pair_samples: int = 10_000) -> DiskReport:
     sup_poz = num / den
 
     # an equal pair is never counted: it would need 0 < -pair_slack
-    rng = np.random.default_rng(0)
-    z1 = _sample_disk(rng, pair_samples, radius)
-    z2 = _sample_disk(rng, pair_samples, radius)
+    s1, e1, s2, e2 = _unit_pairs(pair_samples)
+    z1, z2 = (radius * s1) * e1, (radius * s2) * e2
     q = [float(c) for c in coeffs.q]
     violations = accel.count_lipschitz_violations(q, z1, z2, 1.0 - sup_pp, DEFAULT_TOLS.pair_slack)
 

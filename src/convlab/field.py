@@ -231,7 +231,7 @@ def convolve(f: Field, g: Field) -> Field:
 
 def conv_power(f: Field, n: int) -> Field:
     """n-fold self-convolution with one transform pair."""
-    if n < 1:
+    if _require_index("n", n) < 1:
         raise InvalidInput(f"convolution power needs n >= 1, got {n}")
     if n == 1:
         return f

@@ -8,22 +8,27 @@ arbitrary-precision on purpose; the entries grow like Catalan numbers and
 any silent overflow would corrupt the downstream mass certificates.
 
 The c_l come three ways: iterate_table's diagonal (the paper's
-construction, O(N L^3) integer products for L terms), limit_series (the
+construction: L rows of one square and N2 - 1 truncated products each,
+O(N L^3) integer products for L terms), limit_series (the
 online recurrence on C = s + P(C): relaxed multiplication, van der Hoeven
 2002, in its naive quadratic form) and lagrange_inverse (the
 Lagrange-Buermann formula with J. C. P. Miller's power recurrence, Knuth
 TAOCP vol. 2, sec. 4.7), both O(N L^2). lagrange_inverse shares no code
 with the other two, so each checks the others.
 
-Polynomials are dense Python-int lists indexed by degree.
+Polynomials are dense Python-int lists indexed by degree. Each
+coefficient of a product is one dot product at C level,
+sum(map(mul, a_slice, reversed_b_slice)), over the nonzero spans of both
+operands, and a square takes each cross product a_i a_j once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 import math
+from operator import mul
 
-from .errors import InvalidInput
+from .errors import InvalidInput, _require_index
 from .qpoly import CoeffVector, PolyQ, _exact_at, derivative
 
 DEFAULT_L_CAP = 64
@@ -58,27 +63,56 @@ class LimitSeries:
     c: tuple[int, ...]  # c[l - 1] is c_l
 
 
+def _span(a: list[int], cap: int) -> tuple[int, int]:
+    """First and last index of a nonzero entry of a[:cap + 1]; (0, -1) if
+    there is none."""
+    nz = [i for i, v in enumerate(a[: cap + 1]) if v]
+    return (nz[0], nz[-1]) if nz else (0, -1)
+
+
 def _trunc_mul(a: list[int], b: list[int], cap: int) -> list[int]:
+    """The product a b truncated at degree cap, each coefficient one dot
+    product over the nonzero spans of a and b."""
     out = [0] * (cap + 1)
-    for i, ai in enumerate(a[: cap + 1]):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > cap:
-                break
-            if bj:
-                out[i + j] += ai * bj
+    lo_a, hi_a = _span(a, cap)
+    lo_b, hi_b = _span(b, cap)
+    if hi_a < 0 or hi_b < 0:
+        return out
+    rb = b[hi_b::-1]  # rb[hi_b - j] is b[j]
+    for k in range(lo_a + lo_b, min(cap, hi_a + hi_b) + 1):
+        i0, i1 = max(lo_a, k - hi_b), min(hi_a, k - lo_b)
+        out[k] = sum(map(mul, a[i0 : i1 + 1], rb[hi_b - k + i0 : hi_b - k + i1 + 1]))
+    return out
+
+
+def _trunc_square(a: list[int], cap: int) -> list[int]:
+    """a^2 truncated at degree cap, each cross product a_i a_j (i < j)
+    taken once and doubled."""
+    out = [0] * (cap + 1)
+    lo, hi = _span(a, cap)
+    ra = a[hi::-1]  # ra[hi - j] is a[j]
+    for k in range(2 * lo, min(cap, 2 * hi) + 1):
+        i0, i1 = max(lo, k - hi), (k - 1) // 2  # i < j = k - i
+        out[k] = 2 * sum(map(mul, a[i0 : i1 + 1], ra[hi - k + i0 : hi - k + i1 + 1]))
+        if k % 2 == 0:
+            out[k] += a[k // 2] ** 2
     return out
 
 
 def _apply_p_poly(coeffs: CoeffVector, poly: list[int], cap: int) -> list[int]:
-    """sum_n a_n * poly^n, truncated at degree cap: Horner over
-    CoeffVector.p with truncated products."""
-    acc = [0] * (cap + 1)
-    for ck in reversed(coeffs.p):
-        acc = _trunc_mul(acc, poly, cap)
-        acc[0] += ck
-    return acc
+    """sum_n a_n * poly^n, truncated at degree cap, as poly^2 R(poly) with
+    R = a_2 + a_3 t + ... by Horner over CoeffVector.p[2:]. R(poly) is
+    needed only to degree cap - 2 v, v the lowest degree of poly. Each call
+    costs one square and N2 - 1 products, one of them by the constant a_N."""
+    square = _trunc_square(poly, cap)
+    r_cap = cap - 2 * _span(poly, cap)[0]
+    if r_cap < 0:
+        return square  # all zero: poly^2 starts above cap
+    r = [coeffs.p[coeffs.n2]]
+    for ck in reversed(coeffs.p[2 : coeffs.n2]):
+        r = _trunc_mul(r, poly, r_cap)
+        r[0] += ck
+    return _trunc_mul(square, r, cap)
 
 
 def iterate_table(coeffs: CoeffVector, J: int, L_cap: int) -> CoeffTable:
@@ -88,6 +122,7 @@ def iterate_table(coeffs: CoeffVector, J: int, L_cap: int) -> CoeffTable:
     as a Cauchy-product power. Truncation is flagged, not hidden: entries
     with l > L_cap are dropped once N2^J exceeds the cap.
     """
+    J, L_cap = _require_index("J", J), _require_index("L_cap", L_cap)
     if J < 0 or L_cap < 1:
         raise InvalidInput("need J >= 0 and L_cap >= 1")
     row = [0] * (L_cap + 1)
@@ -115,6 +150,7 @@ def limit_series(coeffs: CoeffVector, L: int) -> LimitSeries:
     known once the degrees below l are. Only sums and products of
     non-negative integers occur, so every c_l is exact.
     """
+    L = _require_index("L", L)
     if L < 1:
         raise InvalidInput("need L >= 1")
     a, N = coeffs.p, coeffs.n2
@@ -122,7 +158,7 @@ def limit_series(coeffs: CoeffVector, L: int) -> LimitSeries:
     pw = [[], c] + [[0] * (L + 1) for _ in range(2, N + 1)]
     for l in range(2, L + 1):
         for n in range(2, N + 1):
-            pw[n][l] = sum(c[i] * pw[n - 1][l - i] for i in range(1, l - n + 2))
+            pw[n][l] = sum(map(mul, c[1 : l - n + 2], pw[n - 1][l - 1 : n - 2 : -1]))
         c[l] = sum(a[n] * pw[n][l] for n in range(2, N + 1))
     return LimitSeries(coeffs=coeffs, c=tuple(c[1:]))
 
@@ -138,6 +174,7 @@ def lagrange_inverse(coeffs: CoeffVector, L: int) -> LimitSeries:
     non-negative. 1/h has integer coefficients, hence so has g, and l c_l
     = g_{l-1} with c_l an integer: both divisions are exact.
     """
+    L = _require_index("L", L)
     if L < 1:
         raise InvalidInput("need L >= 1")
     h = [(j, a) for j, a in enumerate(coeffs.p[2:], start=1) if a]
@@ -176,6 +213,7 @@ def reciprocal_qprime(coeffs: CoeffVector, L: int) -> tuple[list[float], float]:
     b_nu^(1/nu) over the last quarter of the coefficients; the root test
     tolerates the zero gaps of lacunary cases where a ratio test would not.
     """
+    L = _require_index("L", L)
     if L < 8:
         raise InvalidInput("need L >= 8 for a stable tail window")
     pprime = derivative(coeffs.p)

@@ -11,7 +11,7 @@ from convlab import CoeffVector, Field, Grid, SolveReport, integral, l1_norm, mi
 from convlab.config import DEFAULT_TOLS
 from convlab.constructor import _require_limits
 from convlab.field import _require_same_grid
-from convlab.series import LimitSeries, _apply_p_poly
+from convlab.series import LimitSeries
 
 
 def child_env(**overrides: str) -> dict[str, str]:
@@ -60,12 +60,46 @@ def eval_q_prime_exact(coeffs: CoeffVector, t: Fraction) -> Fraction:
     return 1 - eval_p_prime_exact(coeffs, t)
 
 
+# Integer power-series oracles for convlab.series, whose kernels take dot
+# products over nonzero spans and one square per row: the double loop and
+# the power-by-power sum that series used before, sharing no code with it.
+
+def trunc_mul_by_loops(a: list[int], b: list[int], cap: int) -> list[int]:
+    """The earlier series._trunc_mul, kept as an oracle: the product a b
+    truncated at degree cap, term by term in a Python double loop."""
+    out = [0] * (cap + 1)
+    for i, ai in enumerate(a[: cap + 1]):
+        if ai == 0:
+            continue
+        for j, bj in enumerate(b):
+            if i + j > cap:
+                break
+            if bj:
+                out[i + j] += ai * bj
+    return out
+
+
+def apply_p_by_powers(coeffs: CoeffVector, poly: list[int], cap: int) -> list[int]:
+    """The earliest series._apply_p_poly, kept as an oracle: sum_n a_n poly^n
+    truncated at degree cap, one trunc_mul_by_loops per power, accumulated
+    a_n by a_n."""
+    out = [0] * (cap + 1)
+    power = list(poly) + [0] * (cap + 1 - len(poly))
+    for a_n in coeffs.coeffs:
+        power = trunc_mul_by_loops(power, poly, cap)
+        if a_n:
+            for i, v in enumerate(power):
+                if v:
+                    out[i] += a_n * v
+    return out
+
+
 def compose_q(series: LimitSeries) -> list[int]:
     """Coefficients of Q(C(s)) up to the series length; the inverse-series
     identity says this is exactly [0, 1, 0, ..., 0]."""
     L = len(series.c)
     cpoly = [0] + list(series.c)
-    comp = _apply_p_poly(series.coeffs, cpoly, L)
+    comp = apply_p_by_powers(series.coeffs, cpoly, L)
     return [cv - pv for cv, pv in zip(cpoly, comp)]
 
 

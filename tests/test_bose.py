@@ -175,6 +175,11 @@ class TestResolvent:
         with pytest.raises(ValueError):
             resolvent_apply(f, 1.0, m=0)
 
+    def test_order_must_be_an_integer(self):
+        # 1.5 used to apply a fractional power of the resolvent
+        with pytest.raises(InvalidInput, match=r"^m must be an integer, got 1\.5$"):
+            resolvent_apply(uniform_field(G), 1.0, 1.5)
+
 
 class TestSolve:
     def test_zero_potential(self):

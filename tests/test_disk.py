@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from convlab import CoeffVector, accel, build_poly, disk_scan, qprime_roots
+from convlab import CoeffVector, InvalidInput, accel, build_poly, disk, disk_scan, qprime_roots
 from convlab.disk import SCAN_RADIUS_FACTOR
 from convlab.qpoly import _horner, derivative
 
@@ -32,6 +32,30 @@ def polar_scan_sup(desc: np.ndarray, radius: float, radial_steps=64, angular_ste
     th = 2.0 * np.pi * np.arange(angular_steps) / angular_steps
     z = (radii[:, None] * np.exp(1j * th)[None, :]).ravel()
     return float(np.abs(np.polyval(desc, z)).max())
+
+
+def sample_disk(rng: np.random.Generator, n: int, radius: float) -> np.ndarray:
+    """The earlier disk._sample_disk, kept as the oracle of the scan's pairs:
+    n points uniform on |z| <= radius, drawn afresh from rng."""
+    r = radius * np.sqrt(rng.random(n))
+    th = 2.0 * np.pi * rng.random(n)
+    return r * np.exp(1j * th)
+
+
+def scanned_pairs(monkeypatch, p, pair_samples: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (z1, z2) that each disk_scan(p, pair_samples) hands to accel, for
+    two calls in a row."""
+    seen = []
+    real = accel.count_lipschitz_violations
+
+    def spy(q, z1, z2, lip, slack):
+        seen.append((z1, z2))
+        return real(q, z1, z2, lip, slack)
+
+    monkeypatch.setattr(accel, "count_lipschitz_violations", spy)
+    for _ in range(2):
+        disk_scan(p, pair_samples=pair_samples)
+    return seen
 
 
 class TestRoots:
@@ -128,6 +152,16 @@ class TestScan:
         with pytest.raises(ValueError, match=f"^{name} must be >= 0"):
             disk_scan(build_poly(CoeffVector([1])), **kwargs)
 
+    def test_pair_samples_must_be_an_integer(self):
+        # refused before the pair cache sees it: 100.0 hashes as 100
+        p = build_poly(CoeffVector([1]))
+        disk_scan(p, pair_samples=100)
+        before = disk._unit_pairs.cache_info()
+        with pytest.raises(InvalidInput, match=r"^pair_samples must be an integer, got 100\.0$"):
+            disk_scan(p, pair_samples=100.0)
+        assert disk._unit_pairs.cache_info() == before
+        assert disk_scan(p, pair_samples=np.int64(100)) == disk_scan(p, pair_samples=100)
+
     def test_no_pairs(self):
         assert disk_scan(build_poly(CoeffVector([1])), pair_samples=0).injectivity_violations == 0
 
@@ -160,6 +194,37 @@ class TestScan:
         assert obj["injectivity_violations"] == 0
         assert len(obj["qprime_roots"]) == 2
         assert all(len(z) == 2 for z in obj["qprime_roots"])
+
+
+class TestPairs:
+    @pytest.mark.parametrize("n", [0, 10, 10_000])
+    @pytest.mark.parametrize("a", [[1], [1, 1]], ids=["a=1", "a=1,1"])
+    def test_pairs_are_the_seed_zero_draw(self, monkeypatch, a, n):
+        # byte for byte, on the call that draws them and on the next, which
+        # reads them from the cache
+        p = build_poly(CoeffVector(a))
+        rng = np.random.default_rng(0)
+        radius = SCAN_RADIUS_FACTOR * p.t_q
+        want = sample_disk(rng, n, radius), sample_disk(rng, n, radius)
+        for z1, z2 in scanned_pairs(monkeypatch, p, n):
+            for got, w in zip((z1, z2), want):
+                assert got.dtype == np.complex128 and got.shape == (n,)
+                assert got.tobytes() == w.tobytes()
+
+    def test_cache_holds_the_last_count_read_only(self):
+        p = build_poly(CoeffVector([1]))
+        disk._unit_pairs.cache_clear()
+        disk_scan(p, pair_samples=10)
+        parts = disk._unit_pairs(10)
+        assert len(parts) == 4 and not any(part.flags.writeable for part in parts)
+        with pytest.raises(ValueError, match="read-only"):
+            parts[0][0] = 0.0
+        disk_scan(p, pair_samples=20)
+        info = disk._unit_pairs.cache_info()
+        assert (info.maxsize, info.currsize, info.misses) == (1, 1, 2)
+        assert [part.shape for part in disk._unit_pairs(20)] == [(20,)] * 4
+        assert disk._unit_pairs(10) is not parts  # replaced, so drawn again
+        assert disk._unit_pairs.cache_info().misses == 3
 
 
 class TestAccel:

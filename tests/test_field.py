@@ -250,6 +250,11 @@ class TestConvPower:
         with pytest.raises(InvalidInput, match="^convolution power needs n >= 1, got 0$"):
             conv_power(uniform_field(G1), 0)
 
+    def test_order_must_be_an_integer(self):
+        # 2.5 used to return a fractional power: mass 0.3^2.5 for mass 0.3
+        with pytest.raises(InvalidInput, match=r"^n must be an integer, got 2\.5$"):
+            conv_power(uniform_field(G1), 2.5)
+
 
 def apply_p_by_coeffs(f: Field, coeffs: CoeffVector) -> Field:
     """The earlier apply_p, kept as an oracle: Horner over a_N..a_2, then

@@ -19,24 +19,17 @@ from convlab import (
     reciprocal_qprime,
 )
 from convlab.qpoly import derivative
-from convlab.series import _apply_p_poly, _trunc_mul
-from conftest import certificate_vectors, compose_q, eval_p_exact, random_coeffs
+from convlab.series import _apply_p_poly, _trunc_mul, _trunc_square
+from conftest import (
+    apply_p_by_powers,
+    certificate_vectors,
+    compose_q,
+    eval_p_exact,
+    random_coeffs,
+    trunc_mul_by_loops,
+)
 
 CATALAN = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786)
-
-
-def apply_p_by_powers(coeffs: CoeffVector, poly: list[int], cap: int) -> list[int]:
-    """The earlier _apply_p_poly, kept as an oracle: sum_n a_n poly^n with
-    one truncated product per power, accumulated a_n by a_n."""
-    out = [0] * (cap + 1)
-    power = list(poly) + [0] * (cap + 1 - len(poly))
-    for a_n in coeffs.coeffs:
-        power = _trunc_mul(power, poly, cap)
-        if a_n:
-            for i, v in enumerate(power):
-                if v:
-                    out[i] += a_n * v
-    return out
 
 
 def lagrange_by_degree(coeffs: CoeffVector, L: int) -> tuple[int, ...]:
@@ -46,30 +39,69 @@ def lagrange_by_degree(coeffs: CoeffVector, L: int) -> tuple[int, ...]:
     c = [0] * (L + 1)
     c[1] = 1
     for l in range(2, L + 1):
-        c[l] = _apply_p_poly(coeffs, c[:l], l)[l]
+        c[l] = apply_p_by_powers(coeffs, c[:l], l)[l]
     return tuple(c[1:])
+
+
+def truncated_product(a: list[int], b: list[int], cap: int) -> list[int]:
+    """Every product a_i b_j, then the coefficients up to degree cap."""
+    full = [0] * (len(a) + len(b))
+    for (i, x), (j, y) in itertools.product(enumerate(a), enumerate(b)):
+        full[i + j] += x * y
+    return (full + [0] * (cap + 1))[: cap + 1]
+
+
+# Operand pairs and caps the kernels must get right: all-zero operands,
+# leading zeros, operands shorter and longer than the cap, a cap below
+# both nonzero spans, and negative entries.
+KERNEL_CASES = [
+    ([0, 0, 0], [1, 2, 3], 4),
+    ([0], [0], 0),
+    ([0, 0], [0, 0, 0], 5),
+    ([0, 0, 3, 1], [0, 2, 0, 5], 6),
+    ([0, 0, 0, 0, 7], [0, 0, 0, 1], 12),
+    ([1, 2], [3], 8),
+    ([4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 9], [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1], 5),
+    ([0, 0, 0, 5, 6], [0, 0, 0, 7, 8], 2),
+    ([0, 0, 0, 5, 6], [0, 0, 0, 7, 8], 4),
+    ([0, 0, 0, 5, 6], [0, 0, 0, 7, 8], 5),
+    ([0, 0, 1], [0, 0, 1], 3),
+    ([-3, 2, -1, 0, 4], [2, -2, 0, -5], 6),
+    ([0, -1, 0, 2**70], [-(2**65), 0, 3], 9),
+]
 
 
 class TestIterateTable:
     def test_horner_matches_power_loop(self):
-        # the rows iterate_table feeds it, and a poly with a constant term
+        # the rows iterate_table feeds it, a poly with a constant term, one
+        # with leading zeros, one all zero, one longer than the cap and one
+        # whose square starts above the cap
+        extra = [[2, 1, 0, 3], [0, 0, 0, 2, 1], [0, 0, 0], [1] * 20, [0, 0, 0, 0, 0, 0, 0, 1]]
         for c in certificate_vectors():
-            polys = [list(r) for r in iterate_table(c, J=3, L_cap=12).rows] + [[2, 1, 0, 3]]
+            polys = [list(r) for r in iterate_table(c, J=3, L_cap=12).rows] + extra
             for poly in polys:
                 assert _apply_p_poly(c, poly, 12) == apply_p_by_powers(c, poly, 12)
 
+    @pytest.mark.parametrize("a,b,cap", KERNEL_CASES)
+    def test_kernels_on_edge_cases(self, a, b, cap):
+        want = truncated_product(a, b, cap)
+        assert trunc_mul_by_loops(a, b, cap) == want
+        assert _trunc_mul(a, b, cap) == want
+        assert _trunc_mul(b, a, cap) == want
+        assert _trunc_square(a, cap) == truncated_product(a, a, cap)
+        assert _trunc_square(b, cap) == truncated_product(b, b, cap)
+
     def test_trunc_mul_is_the_truncated_product(self):
-        # operands longer than the cap, with constant terms and zeros; the
-        # power-loop oracles above share _trunc_mul, so it gets its own
+        # random operands longer and shorter than the cap, with constant
+        # terms, leading zeros and negative entries, against every product
         rng = np.random.default_rng(24)
-        for _ in range(50):
-            a = [int(v) for v in rng.integers(-3, 4, size=rng.integers(1, 12))]
-            b = [int(v) for v in rng.integers(-3, 4, size=rng.integers(1, 12))]
+        for _ in range(300):
+            a = [0] * int(rng.integers(0, 4)) + [int(v) for v in rng.integers(-3, 4, size=rng.integers(1, 12))]
+            b = [0] * int(rng.integers(0, 4)) + [int(v) for v in rng.integers(-3, 4, size=rng.integers(1, 12))]
             cap = int(rng.integers(0, 10))
-            full = [0] * (len(a) + len(b))
-            for (i, x), (j, y) in itertools.product(enumerate(a), enumerate(b)):
-                full[i + j] += x * y
-            assert _trunc_mul(a, b, cap) == (full + [0] * (cap + 1))[: cap + 1]
+            assert _trunc_mul(a, b, cap) == truncated_product(a, b, cap)
+            assert _trunc_square(a, cap) == truncated_product(a, a, cap)
+            assert trunc_mul_by_loops(a, b, cap) == truncated_product(a, b, cap)
 
     def test_first_rows_two_fold(self):
         t = iterate_table(CoeffVector([1]), J=2, L_cap=8)
@@ -238,7 +270,7 @@ def reciprocal_by_powers(coeffs: CoeffVector, L: int) -> tuple[list[int], float]
         for i, v in enumerate(term):
             if v:
                 b[i] += v
-        term = _trunc_mul(term, pprime, L)
+        term = trunc_mul_by_loops(term, pprime, L)
     window = range(L - L // 4 + 1, L + 1)
     tail = [(nu, b[nu]) for nu in window if b[nu] > 0]
     if not tail:
@@ -308,6 +340,31 @@ class TestReciprocal:
         b, radius = reciprocal_qprime(CoeffVector(a), L=low)
         assert b[1:low] == [0.0] * (low - 1) and b[low] == float(low + 1)  # n a_n
         assert 0.0 < radius < math.inf
+
+
+INTEGER_PARAMETERS = {
+    "limit_series-L": (lambda c: limit_series(c, 4.0), "L", "4.0"),
+    "lagrange_inverse-L": (lambda c: lagrange_inverse(c, 4.0), "L", "4.0"),
+    "iterate_table-J": (lambda c: iterate_table(c, J=2.0, L_cap=8), "J", "2.0"),
+    "iterate_table-L_cap": (lambda c: iterate_table(c, J=2, L_cap=8.0), "L_cap", "8.0"),
+    "reciprocal_qprime-L": (lambda c: reciprocal_qprime(c, 8.0), "L", "8.0"),
+}
+
+
+@pytest.mark.parametrize("case", INTEGER_PARAMETERS.values(), ids=INTEGER_PARAMETERS)
+def test_integer_parameters(case):
+    # a float is refused even when it is integral; a numpy integer is an index
+    call, name, value = case
+    with pytest.raises(InvalidInput, match=rf"^{name} must be an integer, got {value}$"):
+        call(CoeffVector([1]))
+
+
+def test_numpy_integer_parameters():
+    c, four, eight = CoeffVector([1]), np.int64(4), np.int64(8)
+    assert limit_series(c, four) == limit_series(c, 4)
+    assert lagrange_inverse(c, four) == lagrange_inverse(c, 4)
+    assert iterate_table(c, J=np.int64(2), L_cap=eight) == iterate_table(c, J=2, L_cap=8)
+    assert reciprocal_qprime(c, eight) == reciprocal_qprime(c, 8)
 
 
 class TestJson:
