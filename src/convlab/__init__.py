@@ -30,13 +30,11 @@ _HOME = {
     **dict.fromkeys(("DiskReport", "qprime_roots", "disk_scan"), "disk"),
     **dict.fromkeys(
         ("Grid", "Field", "convolve", "conv_power", "apply_p", "integral", "l1_norm",
-         "min_value", "aliasing_guard", "delta_field", "field_from_bytes", "field_to_bytes",
-         "gaussian_field", "uniform_field", "read_cvlf", "write_cvlf", "write_csv"),
+         "min_value", "delta_field", "field_from_bytes", "field_to_bytes", "gaussian_field",
+         "uniform_field", "read_cvlf", "write_cvlf", "write_csv"),
         "field",
     ),
-    **dict.fromkeys(
-        ("SolveReport", "construct", "verify_inequality", "uniqueness_roundtrip"), "constructor"
-    ),
+    **dict.fromkeys(("SolveReport", "construct", "verify_inequality"), "constructor"),
     **dict.fromkeys(("PoissonParams", "poisson_field", "check_two_fold"), "witness"),
     **dict.fromkeys(
         ("BoseProblem", "BoseSolution", "CertificateReport", "resolvent_apply",

@@ -20,7 +20,7 @@ class Tolerances:
     ceiling_slack: float = 1e-10     # bose: max(u) <= 1 + ceiling_slack
     verify_mass_slack: float = 1e-9  # verify: mass <= t_q + verify_mass_slack
     nonneg_slack: float = 1e-12      # f >= 0: construct's seed and monotone_ok, bose's u
-    # f >= sum a_n (*^n f): verify, uniqueness_roundtrip, bose's certificate. It also absorbs
+    # f >= sum a_n (*^n f): verify and bose's certificate. It also absorbs
     # construct's truncation gap, not roundoff: -3.7e-13 on 1-d 4096 at tol 1e-10 (constructor)
     verify_slack: float = 1e-10
 

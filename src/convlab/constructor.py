@@ -255,28 +255,3 @@ def verify_inequality(f: Field, coeffs: CoeffVector) -> tuple[float, float]:
     when sum a_n (*^n f) or the difference leaves the float range."""
     return _minus_p(f, coeffs)[1], integral(f)
 
-
-def uniqueness_roundtrip(
-    f: Field,
-    coeffs: CoeffVector,
-    p: PolyQ,
-    tol: float = DEFAULT_TOL,
-) -> float:
-    """Recover the seed psi = f - sum a_n (*^n f), rebuild from it, and
-    return the L1 distance between f and the rebuilt solution.
-
-    For any f satisfying the inequality this distance is forced to zero
-    in exact arithmetic (the solution is unique given its seed); away
-    from the critical mass the iteration converges geometrically and the
-    contract is a distance <= 10 * tol, tol being only construct's stopping
-    tolerance. f is refused as verify refuses it, or for a negative mass.
-    """
-    _require_poly(coeffs, p)
-    g, slack = _minus_p(f, coeffs)
-    if not _within_roundoff(slack, f, DEFAULT_TOLS.verify_slack):
-        raise InvalidInput(f"field violates the inequality (slack {slack:.3e}) beyond roundoff")
-    if integral(f) < 0:
-        raise InvalidInput("field has negative mass")
-    psi = Field(g.grid, np.maximum(g.values, 0.0))
-    rebuilt, _ = construct(psi, coeffs, p, tol=tol)
-    return l1_norm(f - rebuilt)

@@ -23,11 +23,10 @@ looked up on the scipy.fft module at call time, so a wrapper set on that
 module sees every call. They run on scipy's default of one worker.
 
 Wrap-around contamination from the R^d-to-torus substitution is the
-caller's risk; aliasing_guard measures the boundary-shell mass so tests
-can assert it is negligible.
+caller's risk.
 
-Every reduction (integral, l1_norm, aliasing_guard and the renormalisation
-in gaussian_field) is the exact sum of the values rounded once, equal bit
+Every reduction (integral, l1_norm and the renormalisation in
+gaussian_field) is the exact sum of the values rounded once, equal bit
 for bit to math.fsum and so independent of summation order. _exact_sum
 pre-rounds (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31, 2008; Demmel
 and Nguyen, ARITH 2013): it scales the values below 2^40, truncates each
@@ -106,8 +105,13 @@ class Grid:
         return self._along_each_axis(self.axis_coords())
 
     def frequencies(self) -> tuple[np.ndarray, ...]:
-        """Per-axis discrete frequencies (cycles per length), broadcastable."""
-        return self._along_each_axis(np.fft.fftfreq(self.points_per_axis, d=self.h))
+        """Per-axis discrete frequencies (cycles per length), broadcastable.
+        On a box below about 5.6e-309 the spacing 1/L is inf, and so is every
+        frequency but the zero one, which fftfreq's 0 inf would make nan."""
+        with np.errstate(invalid="ignore"):
+            k = np.fft.fftfreq(self.points_per_axis, d=self.h)
+        k[0] = 0.0
+        return self._along_each_axis(k)
 
     def _along_each_axis(self, v: np.ndarray) -> tuple[np.ndarray, ...]:
         """One view of the 1-d v per axis, shaped M along that axis and 1
@@ -177,11 +181,14 @@ def _half_shift_phase(dim: int, m: int) -> np.ndarray:
 def _k_squared(grid: Grid) -> np.ndarray:
     """||k||^2 over the half spectrum, summed axis by axis; on the last
     axis |k| runs over the first M/2 + 1 of |fftfreq|, the rfftfreq values.
-    Read-only, since every caller shares it."""
+    Where ||k||^2 passes the float range (|k| above about 1.3e154, on a box
+    below about 4e-155 M) it is inf, quietly: the resolvent and the witness
+    damp such a mode to 0. Read-only, since every caller shares it."""
     half = grid.points_per_axis // 2 + 1
     norm = np.zeros(grid.shape[:-1] + (half,))
-    for k in grid.frequencies():
-        norm = norm + k[..., :half] ** 2
+    with np.errstate(over="ignore"):
+        for k in grid.frequencies():
+            norm = norm + k[..., :half] ** 2
     norm.flags.writeable = False
     return norm
 
@@ -295,7 +302,7 @@ def _exact_sum(x: np.ndarray, absolute: bool = False, top: float | None = None) 
     a rounding boundary. The interval spans about 4n 2^-80 max|x|, so that
     last case comes about once in 2^26 / n sums of size near max|x|, and
     more rarely for larger sums. x is never empty: every Field holds at
-    least 16 values, and aliasing_guard's shell always holds node 0.
+    least 16 values.
     """
     x = x.ravel()
     n = x.size
@@ -346,22 +353,6 @@ def _within_roundoff(low: float, f: Field, slack: float) -> bool:
     """low >= -slack max(1, max|f|), slack >= 0: a minimum of f, or of a field formed
     from f, is >= 0 to roundoff. f's extremes are read only when low < -slack."""
     return low >= -slack or low >= -slack * max(1.0, -min_value(f), float(f.values.max()))
-
-
-def aliasing_guard(f: Field, shell_fraction: float) -> float:
-    """Fraction of the L1 mass sitting within shell_fraction * L of the
-    box boundary; > 1e-6 suggests wrap-around contamination."""
-    if not 0.0 < shell_fraction < 0.5:
-        raise InvalidInput("shell_fraction must be in (0, 0.5)")
-    g = f.grid
-    cut = 0.5 * g.extent - shell_fraction * g.extent
-    in_shell = np.zeros(g.shape, dtype=bool)
-    for xa in g.coordinate_arrays():
-        in_shell |= np.broadcast_to(np.abs(xa) > cut, g.shape)
-    total = _exact_sum(f.values, absolute=True)
-    if total == 0.0:
-        return 0.0
-    return _exact_sum(f.values[in_shell], absolute=True) / total
 
 
 # --- reference fields ---------------------------------------------------

@@ -1,4 +1,4 @@
-"""Closed-form witnesses for the two-fold inequality f >= f * f.
+"""Poisson witnesses for the two-fold inequality f >= f * f.
 
 The family is the Fourier transform of a e^{-2 pi t ||x||}, i.e. the
 Poisson kernel a C_d t / (t^2 + ||x||^2)^((d+1)/2) with mass a; it
@@ -8,17 +8,15 @@ samples: wrapping the tails back in keeps the discrete mass at exactly a
 and turns f >= f*f into an exact
 pointwise statement for the circular convolution (the periodization of a
 non-negative function dominates the periodization of f*f node by node).
-In one dimension the periodized kernel has the classical closed form
-(a/L) sinh(u) / (cosh(u) - cos(2 pi x/L)) with u = 2 pi t/L, evaluated as
-(a/L) (-expm1(-2u)) / (expm1(-u)^2 + 4 e^{-u} sin^2(pi x/L)), both parts
-times 2 e^{-u}, which stays finite at any t and tends to a/L; in higher
-dimensions it is synthesized from its Fourier coefficients
-a e^{-2 pi t ||xi||}, truncated at the Nyquist shell ||xi|| = M/(2L).
-Both routes depend on the resolution t M / L, the scale t in grid
-spacings: the synthesis drops a symbol tail of about e^{-pi t M/L} and
-the 1-d closed form aliases the mass by about 2a e^{-2 pi t M/L}. The
-guard t M / L >= 8 keeps the dropped tail below e^{-8 pi} ~ 1.2e-11 and
-the 1-d mass at a to roundoff.
+In every dimension the periodized kernel is synthesized from its Fourier
+coefficients a e^{-2 pi t ||xi||} on the half spectrum, truncated at the
+Nyquist shell ||xi|| = M/(2L). The zero frequency is a itself, so the
+mass is a to roundoff, and every other coefficient lies in [0, a]: the
+synthesis is finite at any t, where the values tend to a/L^d. It depends
+on the resolution t M / L, the scale t in grid spacings: it drops a
+symbol tail of about e^{-pi t M/L} times max f. The guard t M / L >= 8
+keeps that tail below e^{-8 pi} ~ 1.2e-11. Values past the float range,
+on a box too small for a, are refused.
 """
 
 from __future__ import annotations
@@ -50,7 +48,8 @@ class PoissonParams:
 
 def poisson_field(params: PoissonParams) -> Field:
     """Periodized Poisson witness; discrete mass equals a to roundoff.
-    Raises InvalidInput when t M / L < MIN_RESOLUTION."""
+    Raises InvalidInput when t M / L < MIN_RESOLUTION, or when its values
+    leave the float range."""
     grid = params.grid
     resolution = params.t * grid.points_per_axis / grid.extent
     if resolution < MIN_RESOLUTION:
@@ -58,15 +57,20 @@ def poisson_field(params: PoissonParams) -> Field:
             f"t * M / L = {resolution:.3g} < {MIN_RESOLUTION:g}; "
             "kernel too narrow for this grid"
         )
-    if grid.dim == 1:
-        u = 2.0 * np.pi * params.t / grid.extent
-        x = grid.axis_coords()
-        vals = (params.a / grid.extent) * -np.expm1(-2.0 * u) / (
-            np.expm1(-u) ** 2 + 4.0 * np.exp(-u) * np.sin(np.pi * x / grid.extent) ** 2
-        )
-        return Field(grid, vals)
-    symbol = params.a * np.exp(-2.0 * np.pi * params.t * np.sqrt(_k_squared(grid)))
-    return _field_from_symbol(grid, symbol)
+    norm = np.sqrt(_k_squared(grid))
+    # -2 pi t is -inf for t past about 2.9e307, and (-inf) 0 is nan at frequency
+    # zero, where e^{-c 0} = 1 for every finite c: that value is written directly
+    with np.errstate(invalid="ignore"):
+        symbol = params.a * np.exp(-2.0 * np.pi * params.t * norm)
+    symbol[(0,) * grid.dim] = params.a
+    try:
+        with np.errstate(over="raise"):
+            return _field_from_symbol(grid, symbol)
+    except FloatingPointError:
+        raise InvalidInput(
+            f"extent {grid.extent} in dim {grid.dim}: the witness values are outside "
+            "the float range"
+        ) from None
 
 
 def check_two_fold(f: Field) -> tuple[float, float]:

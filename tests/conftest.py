@@ -7,10 +7,13 @@ import numpy as np
 import scipy.fft
 
 import convlab
-from convlab import CoeffVector, Field, Grid, SolveReport, integral, l1_norm, min_value
-from convlab.config import DEFAULT_TOLS
-from convlab.constructor import _require_limits
-from convlab.field import _require_same_grid
+from convlab import (
+    CoeffVector, Field, Grid, InvalidInput, PolyQ, SolveReport, construct, integral, l1_norm,
+    min_value,
+)
+from convlab.config import DEFAULT_TOL, DEFAULT_TOLS
+from convlab.constructor import _minus_p, _require_limits, _require_poly
+from convlab.field import _require_same_grid, _within_roundoff
 from convlab.series import LimitSeries
 
 
@@ -101,6 +104,34 @@ def compose_q(series: LimitSeries) -> list[int]:
     cpoly = [0] + list(series.c)
     comp = apply_p_by_powers(series.coeffs, cpoly, L)
     return [cv - pv for cv, pv in zip(cpoly, comp)]
+
+
+# The seed-recovery roundtrip: construct must rebuild f from the seed that
+# f - P(f) recovers. Only tests call it.
+def uniqueness_roundtrip(
+    f: Field,
+    coeffs: CoeffVector,
+    p: PolyQ,
+    tol: float = DEFAULT_TOL,
+) -> float:
+    """Recover the seed psi = f - sum a_n (*^n f), rebuild from it, and
+    return the L1 distance between f and the rebuilt solution.
+
+    For any f satisfying the inequality this distance is forced to zero
+    in exact arithmetic (the solution is unique given its seed); away
+    from the critical mass the iteration converges geometrically and the
+    contract is a distance <= 10 * tol, tol being only construct's stopping
+    tolerance. f is refused as verify refuses it, or for a negative mass.
+    """
+    _require_poly(coeffs, p)
+    g, slack = _minus_p(f, coeffs)
+    if not _within_roundoff(slack, f, DEFAULT_TOLS.verify_slack):
+        raise InvalidInput(f"field violates the inequality (slack {slack:.3e}) beyond roundoff")
+    if integral(f) < 0:
+        raise InvalidInput("field has negative mass")
+    psi = Field(g.grid, np.maximum(g.values, 0.0))
+    rebuilt, _ = construct(psi, coeffs, p, tol=tol)
+    return l1_norm(f - rebuilt)
 
 
 def linf_diff(f: Field, g: Field) -> float:

@@ -37,12 +37,11 @@ from convlab import (
     qprime_roots,
     reciprocal_qprime,
     resolvent_apply,
-    uniqueness_roundtrip,
     verify_inequality,
 )
 from convlab.qpoly import eval_p
 
-from conftest import linf_diff, random_coeffs, random_smooth_field
+from conftest import linf_diff, random_coeffs, random_smooth_field, uniqueness_roundtrip
 
 from test_bose import dense_solution
 

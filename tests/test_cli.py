@@ -361,13 +361,33 @@ class TestWitness:
                  ["--t", "0.5", "--dim", "1", "--extent", "8", "--points", "16"]],
     )
     def test_under_resolved_exit(self, tmp_path, capsys, grid):
-        # t L >= 4 but t M / L = 1; unguarded: min_slack -1.22e-3, and mass 0.501871
+        # t L >= 4 but t M / L = 1; unguarded: min_slack -1.22e-3 (2-d), -6.29e-5 (1-d)
         assert main(["witness", "--a", "0.5", *grid, "--report", "wr.json"]) == 2
         assert "t * M / L = 1 < 8" in capsys.readouterr().err
         assert not (tmp_path / "wr.json").exists()
 
     def test_amplitude_validation_exit(self):
         assert main(["witness", "--a", "0.7", "--t", "1", *GRID_ARGS]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["witness", "--a", "0.5", "--t", "1e308", "--dim", "2", "--extent", "16",
+              "--points", "64"], 0),
+            (["witness", "--a", "0.5", "--t", "1", "--dim", "1", "--extent", "1e-300",
+              "--points", "16"], 0),
+            (["bose", "--V", "uniform:mass=0.1", "--dim", "1", "--extent", "1e-300",
+              "--points", "16"], 3),
+        ],
+        ids=["witness-huge-scale", "witness-tiny-box", "bose-tiny-box"],
+    )
+    def test_extreme_scales_run_quietly(self, capsys, argv, code):
+        # -2 pi t = -inf at the zero frequency, and ||k||^2 past the float range
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == code
+        assert caught == []
+        assert capsys.readouterr().err == ""
 
 
 class TestBose:

@@ -26,7 +26,6 @@ from convlab import (
     min_value,
     poisson_field,
     uniform_field,
-    uniqueness_roundtrip,
     verify_inequality,
 )
 from convlab import constructor as constructor_mod
@@ -36,7 +35,10 @@ from convlab.constructor import DEFAULT_MAX_ITER, DEFAULT_TOL, _iterate_symbol
 from convlab.field import _within_roundoff
 from convlab.qpoly import eval_p
 
-from conftest import count_transforms, fixed_point, full_iterate_symbol, linf_diff, random_coeffs
+from conftest import (
+    count_transforms, fixed_point, full_iterate_symbol, linf_diff, random_coeffs,
+    uniqueness_roundtrip,
+)
 
 G = Grid(dim=1, extent=8.0, points_per_axis=256)
 C2 = CoeffVector([1])

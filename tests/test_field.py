@@ -14,7 +14,6 @@ from convlab import (
     Field,
     Grid,
     InvalidInput,
-    aliasing_guard,
     apply_p,
     bose_solve,
     build_poly,
@@ -98,6 +97,13 @@ class TestGrid:
         (xi,) = G1.frequencies()
         assert xi.ravel()[0] == 0.0
         assert xi.ravel()[1] == pytest.approx(1.0 / G1.extent, rel=1e-15)
+
+    def test_frequencies_on_a_box_below_the_reciprocal_range(self):
+        # 1/L is inf at L = 1e-320: frequency zero stays 0, the others are +-inf
+        (xi,) = Grid(dim=1, extent=1e-320, points_per_axis=16).frequencies()
+        assert xi[0] == 0.0
+        assert np.array_equal(np.abs(xi[1:]), np.full(15, np.inf))
+        assert np.array_equal(_k_squared(Grid(1, 1e-320, 16))[1:], np.full(8, np.inf))
 
     @pytest.mark.parametrize("grid", [G1, G2, Grid(dim=3, extent=6.0, points_per_axis=16)])
     def test_k_squared(self, grid):
@@ -483,7 +489,7 @@ class TestExactSum:
     """_exact_sum against math.fsum, compared by float.hex."""
 
     # 256 values, the smallest grid the benchmark's workloads sum; the kernel
-    # takes every size, down to the single node of a thin aliasing shell
+    # takes every size, down to a single value
     CUT = 256
     BLOCK = field_module._BLOCK
     SIZES = [CUT - 1, CUT, CUT + 1, 2047, 2048, 2049, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3, 3 * BLOCK]
@@ -748,55 +754,6 @@ class TestReferenceFields:
             warnings.simplefilter("error")
             f = gaussian_field(G1, sigma=1.1e-154, mass=0.1)
         assert f.values.tobytes() == delta_field(G1, mass=0.1).values.tobytes()
-
-
-class TestAliasingGuard:
-    def test_delta_center(self):
-        assert aliasing_guard(delta_field(G1), 0.1) == 0.0
-
-    def test_zero_field(self):
-        assert aliasing_guard(Field(G1, np.zeros(G1.shape)), 0.1) == 0.0
-
-    def test_thinnest_shell_holds_node_zero(self, fsum_calls):
-        # a shell thinner than a cell holds node 0 alone, which the kernel sums
-        v = np.zeros(G1.shape)
-        v[0], v[G1.points_per_axis // 2] = 1.0, 3.0
-        assert aliasing_guard(Field(G1, v), 1e-6) == 0.25
-        assert fsum_calls == []
-
-    def test_tight_gaussian(self):
-        f = gaussian_field(G1, sigma=0.25)
-        assert aliasing_guard(f, 0.125) <= 1e-12
-
-    def test_uniform_shell_fraction(self):
-        s = 0.125
-        got = aliasing_guard(uniform_field(G1), s)
-        assert abs(got - 2.0 * s) <= 4.0 / G1.points_per_axis
-
-    @pytest.mark.parametrize("grid", [G1, G2], ids=["fsum", "kernel"])
-    @pytest.mark.parametrize("shell", [0.1, 0.125, 0.3])
-    def test_matches_fsum_formula(self, grid, shell):
-        rng = np.random.default_rng(80)
-        fields = [
-            delta_field(grid),
-            gaussian_field(grid, sigma=0.25),
-            uniform_field(grid),
-            random_smooth_field(grid, rng),
-        ]
-        cut = 0.5 * grid.extent - shell * grid.extent
-        in_shell = np.zeros(grid.shape, dtype=bool)
-        for xa in grid.coordinate_arrays():
-            in_shell |= np.broadcast_to(np.abs(xa) > cut, grid.shape)
-        for f in fields:
-            total = math.fsum(np.abs(f.values).ravel())
-            want = math.fsum(np.abs(f.values[in_shell]).ravel()) / total
-            assert aliasing_guard(f, shell).hex() == want.hex()
-
-    def test_range_validation(self):
-        with pytest.raises(ValueError):
-            aliasing_guard(uniform_field(G1), 0.0)
-        with pytest.raises(ValueError):
-            aliasing_guard(uniform_field(G1), 0.5)
 
 
 class TestIO:

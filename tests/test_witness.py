@@ -16,9 +16,9 @@ from convlab import (
     l1_norm,
     min_value,
     poisson_field,
-    uniqueness_roundtrip,
 )
-from convlab.field import _field_from_symbol
+
+from conftest import uniqueness_roundtrip
 
 G1 = Grid(dim=1, extent=8.0, points_per_axis=256)
 G2 = Grid(dim=2, extent=8.0, points_per_axis=64)
@@ -27,6 +27,17 @@ G2 = Grid(dim=2, extent=8.0, points_per_axis=64)
 def plain_kernel_1d(a, t, x):
     # transform of a e^{-2 pi t |xi|} on the line
     return a * t / (np.pi * (t * t + x * x))
+
+
+def closed_form_1d(a, t, grid):
+    """The periodized 1-d kernel (a/L) sinh(u) / (cosh(u) - cos(2 pi x/L)),
+    u = 2 pi t/L, written in expm1 so that it stays finite at any t: a
+    route to the same field that shares no step with the synthesis."""
+    u = 2.0 * np.pi * t / grid.extent
+    x = grid.axis_coords()
+    return (a / grid.extent) * -np.expm1(-2.0 * u) / (
+        np.expm1(-u) ** 2 + 4.0 * np.exp(-u) * np.sin(np.pi * x / grid.extent) ** 2
+    )
 
 
 class TestParams:
@@ -52,8 +63,8 @@ class TestParams:
     @pytest.mark.parametrize(
         "dim, extent, points, t",
         # t L >= 4 but t M / L = 1 here, too coarse: unguarded they give a
-        # negative f - f*f (2-d), a negative f (2-d, L = 64) and a 1-d mass
-        # 0.501871 for a = 0.5
+        # negative f - f*f (2-d; min -1.22e-3), a negative f (2-d, L = 64)
+        # and, in 1-d, a negative f - f*f (min -6.29e-5) for a = 0.5
         [(2, 16.0, 64, 0.25), (2, 64.0, 64, 0.1), (1, 8.0, 16, 0.5)],
     )
     def test_decay_guard_reads_resolution(self, dim, extent, points, t):
@@ -89,6 +100,39 @@ class TestKernel:
         assert mass == pytest.approx(0.5, abs=1e-15)
         assert slack == pytest.approx(flat * 0.5, rel=1e-12)
 
+    @pytest.mark.parametrize("t", [2.9e307, 1.7e308])
+    @pytest.mark.parametrize("dim, points", [(2, 64), (3, 16)])
+    def test_huge_scale(self, dim, points, t):
+        # -2 pi t is -inf: every value is a/L^d, and the zero frequency,
+        # where (-inf) 0 would be nan, is a itself
+        grid = Grid(dim=dim, extent=16.0, points_per_axis=points)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            f = poisson_field(PoissonParams(a=0.5, t=t, grid=grid))
+        flat = 0.5 / 16.0**dim
+        assert np.abs(f.values - flat).max() <= 2.0**-52 * flat
+        slack, mass = check_two_fold(f)
+        assert mass == pytest.approx(0.5, abs=1e-15)
+        assert slack == pytest.approx(flat * 0.5, rel=1e-12)
+
+    def test_one_dim_tiny_box(self):
+        # |k| reaches 8e300 at L = 1e-300: its square is inf, quietly, and
+        # e^{-inf} = 0, so every value is a/L
+        grid = Grid(dim=1, extent=1e-300, points_per_axis=16)
+        f = poisson_field(PoissonParams(a=0.5, t=1.0, grid=grid))
+        flat = 0.5 / 1e-300
+        assert np.abs(f.values - flat).max() <= 2.0**-52 * flat
+        assert check_two_fold(f) == pytest.approx((flat * 0.5, 0.5), rel=1e-12)
+
+    @pytest.mark.parametrize("dim, extent", [(2, 1e-155), (1, 1e-320)])
+    def test_values_beyond_float_range(self, dim, extent):
+        # a / L^d alone overflows; at L = 1e-320 the frequency spacing 1/L is inf too
+        grid = Grid(dim=dim, extent=extent, points_per_axis=16)
+        message = (
+            rf"^extent {extent} in dim {dim}: the witness values are outside the float range$"
+        )
+        with pytest.raises(InvalidInput, match=message):
+            poisson_field(PoissonParams(a=0.5, t=1.0, grid=grid))
+
     def test_mass_is_amplitude(self):
         f = poisson_field(PoissonParams(a=0.5, t=1.0, grid=G1))
         assert abs(integral(f) - 0.5) <= 1e-12
@@ -112,22 +156,29 @@ class TestKernel:
         assert min_value(f) > 0.0
 
     def test_closed_form_matches_synthesis(self):
-        # the d >= 2 code path, specialised to d = 1, must agree with the
-        # closed form to roundoff once the symbol is resolved
+        # t M / L = 32: the synthesis drops a symbol tail of about e^{-32 pi},
+        # so it agrees with the closed form to roundoff
         a, t = 0.5, 1.0
         f = poisson_field(PoissonParams(a=a, t=t, grid=G1))
-        xi = np.fft.rfftfreq(G1.points_per_axis, d=G1.h)
-        synth = _field_from_symbol(G1, a * np.exp(-2.0 * np.pi * t * xi))
-        assert np.abs(f.values - synth.values).max() <= 1e-13 * f.values.max()
+        want = closed_form_1d(a, t, G1)
+        assert np.abs(f.values - want).max() <= 1e-13 * want.max()
+
+    def test_closed_form_matches_synthesis_at_the_guard(self):
+        # t M / L = 8: the dropped tail is e^{-8 pi} ~ 1.2e-11 of max f
+        a, t = 0.5, 8.0 * G1.extent / G1.points_per_axis
+        f = poisson_field(PoissonParams(a=a, t=t, grid=G1))
+        want = closed_form_1d(a, t, G1)
+        assert np.abs(f.values - want).max() <= 2e-11 * want.max()
 
     def test_closed_form_matches_lattice_sum(self):
         # independent route: periodize the plain kernel by brute force
         a, t, L = 0.5, 1.0, G1.extent
-        f = poisson_field(PoissonParams(a=a, t=t, grid=G1))
         x = G1.axis_coords()
         k = np.arange(-20000, 20001)
         summed = plain_kernel_1d(a, t, x[:, None] + L * k[None, :]).sum(axis=1)
-        assert np.abs(f.values - summed).max() <= 1e-5 * f.values.max()
+        f = poisson_field(PoissonParams(a=a, t=t, grid=G1))
+        for values in (closed_form_1d(a, t, G1), f.values):
+            assert np.abs(values - summed).max() <= 1e-5 * values.max()
 
     def test_linear_in_amplitude(self):
         t = 1.0
