@@ -61,10 +61,7 @@ class BoseProblem:
     grid: Grid
 
     def __post_init__(self):
-        if _require_index("resolvent order m", self.m) < 1:
-            raise InvalidInput(f"resolvent order m must be >= 1, got {self.m}")
-        if not 0 < self.xi < inf:
-            raise InvalidInput(f"spectral shift xi must be positive and finite, got {self.xi}")
+        _require_shift(self.xi, self.m, "resolvent order m")
         if not 0 <= self.mu < inf:
             raise InvalidInput(f"coupling mu must be non-negative and finite, got {self.mu}")
         if self.V.grid != self.grid:
@@ -97,19 +94,36 @@ class CertificateReport:
         return self.__dict__.copy()
 
 
+def _require_shift(xi: float, m: int, order: str) -> None:
+    """Where xi and the order m enter: refuses an m that is not an integer
+    >= 1 (named order), a xi that is not positive and finite, and a xi^m
+    whose value or reciprocal R_m(0) = xi^(-m) passes the float range. A
+    Python float power raises on overflow and gives 0 below the range."""
+    if _require_index(order, m) < 1:
+        raise InvalidInput(f"{order} must be >= 1, got {m}")
+    if not 0 < xi < inf:
+        raise InvalidInput(f"spectral shift xi must be positive and finite, got {xi}")
+    try:
+        xi_m, r_0 = float(xi) ** m, float(xi) ** -m
+    except OverflowError:
+        xi_m = r_0 = 0.0
+    if xi_m == 0.0 or r_0 == 0.0:
+        raise InvalidInput(f"xi^m is outside the float range for xi = {xi}, m = {m}")
+
+
 def _resolvent_symbol(grid: Grid, xi: float, m: int) -> np.ndarray:
-    """R_m = (xi + 4 pi^2 ||k||^2)^(-m) over the grid's half spectrum."""
-    return (xi + 4.0 * np.pi**2 * _k_squared(grid)) ** (-m)
+    """R_m = (xi + 4 pi^2 ||k||^2)^(-m) over the grid's half spectrum.
+    Where 4 pi^2 ||k||^2 passes the float range it is inf, quietly, and
+    R_m is 0 there, as for _k_squared."""
+    with np.errstate(over="ignore"):
+        return (xi + 4.0 * np.pi**2 * _k_squared(grid)) ** (-m)
 
 
 def resolvent_apply(f: Field, xi: float, m: int = 1) -> Field:
     """(xi - Laplacian)^(-m) f via the spectral multiplier; divides the mass
     by xi^m to roundoff. It preserves non-negativity only where the grid
     kernel is non-negative, which coarse grids break (module docstring)."""
-    if not xi > 0:
-        raise InvalidInput("xi must be positive")
-    if _require_index("m", m) < 1:
-        raise InvalidInput("m must be >= 1")
+    _require_shift(xi, m, "m")
     return _field_from_symbol(f.grid, _mass_symbol(f) * _resolvent_symbol(f.grid, xi, m))
 
 
@@ -136,14 +150,7 @@ def solve(
     the solver can only observe it, and raises CeilingViolated when it
     fails.
     """
-    try:
-        xi_m = problem.xi**problem.m
-    except OverflowError:
-        xi_m = inf
-    if not 0.0 < xi_m < inf:
-        raise InvalidInput(
-            f"xi^m is outside the float range for xi = {problem.xi}, m = {problem.m}"
-        )
+    xi_m = problem.xi**problem.m  # BoseProblem checked that it and its reciprocal are finite
     mass_v = integral(problem.V)
     if not mass_v / xi_m < 0.5:
         raise InvalidInput(

@@ -20,8 +20,8 @@ and the solver reports failure honestly instead of loosening tolerances.
 
 construct's report:
 - masses are the zero-frequency values, the first being integral(psi):
-  exactly the float scalar recursion sigma <- integral(psi) + P(sigma),
-  Horner over CoeffVector.p. final_mass is integral(f).
+  exactly the float recursion sigma <- integral(psi) + eval_p(sigma), as
+  the loop runs eval_p's _horner on the symbol. final_mass is integral(f).
 - l1_deltas are the zero-frequency increments; the run stops at the first
   one below tol. They are the L1 increments whenever the increments are
   non-negative.
@@ -57,8 +57,8 @@ import numpy as np
 from .config import DEFAULT_MAX_ITER, DEFAULT_TOL, DEFAULT_TOLS
 from .errors import InvalidInput, NotConverged, _require_index
 from .field import Field, apply_p, integral, l1_norm, min_value
-from .field import _field_from_symbol, _mass_symbol, _p_of_symbol, _within_roundoff
-from .qpoly import CoeffVector, PolyQ
+from .field import _field_from_symbol, _mass_symbol, _within_roundoff
+from .qpoly import CoeffVector, PolyQ, _horner
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,7 @@ def _iterate_symbol(
     try:
         with np.errstate(over="raise", invalid="raise"):
             for step in range(1, max_iter + 1):
-                _p_of_symbol(w, coeffs, out=acc)
+                _horner(coeffs.p, w, out=acc)
                 acc += s
                 w, acc = acc, w
                 mass = float(w[0].real)

@@ -12,7 +12,7 @@ evaluator and rounded once. The lower Lipschitz bound
 random pairs cross-check it. They are drawn with seed 0 as a unit radius
 and a phase, kept for the last pair count asked for (so a process draws
 them once), and scaled to each disk. Every coefficient here is qpoly's
-layout; qpoly's one float Horner checks the roots and the pairs.
+layout; qpoly._horner, the one float evaluator, checks roots and pairs.
 """
 
 from __future__ import annotations

@@ -49,7 +49,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidInput, _require_index
-from .qpoly import CoeffVector
+from .qpoly import CoeffVector, _horner
 
 CVLF_MAGIC = b"CVLF"
 CVLF_VERSION = 1
@@ -245,27 +245,11 @@ def conv_power(f: Field, n: int) -> Field:
     return _field_from_symbol(f.grid, _mass_symbol(f) ** n)
 
 
-def _p_of_symbol(t: np.ndarray, coeffs: CoeffVector, out: np.ndarray) -> np.ndarray:
-    """out <- P(t) at every frequency, Horner over CoeffVector.p in place
-    from its top nonzero coefficient; out must be a buffer of t's shape
-    other than t. For finite t this is bit for bit the Horner that starts
-    from zero: every product of that zero is a signed zero, which adding
-    the top coefficient turns into exactly that coefficient plus +0j."""
-    p = coeffs.p
-    top = coeffs.n2
-    out.fill(p[top])
-    for ck in reversed(p[:top]):
-        out *= t
-        if ck:
-            out += ck
-    return out
-
-
 def apply_p(f: Field, coeffs: CoeffVector) -> Field:
-    """sum_n a_n (*^n f), accumulated in the spectral domain (Horner over
-    CoeffVector.p in the mass symbol), one transform pair total."""
+    """sum_n a_n (*^n f), accumulated in the spectral domain (_horner over
+    CoeffVector.p on the mass symbol), one transform pair total."""
     t = _mass_symbol(f)
-    return _field_from_symbol(f.grid, _p_of_symbol(t, coeffs, np.empty_like(t)))
+    return _field_from_symbol(f.grid, _horner(coeffs.p, t, out=np.empty_like(t)))
 
 
 # --- exactly rounded sums -------------------------------------------------
@@ -367,16 +351,23 @@ def delta_field(grid: Grid, mass: float = 1.0) -> Field:
 def gaussian_field(grid: Grid, sigma: float, mass: float = 1.0) -> Field:
     """Isotropic centered Gaussian, renormalized so the discrete integral
     is exactly the requested mass. A sigma whose 2 sigma^2 is below the
-    smallest normal double is refused."""
+    smallest normal double is refused, and so is one whose 2 sigma^2 is
+    inf on a box where some |x|^2 is inf too."""
     if not 0 < sigma < math.inf:
         raise InvalidInput(f"sigma must be positive and finite, got {sigma}")
     two_var = 2.0 * sigma * sigma
     if two_var < sys.float_info.min:
         raise InvalidInput(f"sigma {sigma} is too small: 2 sigma^2 underflows a normal double")
     r2 = np.zeros(grid.shape)
-    for xa in grid.coordinate_arrays():
-        r2 = r2 + xa**2
-    with np.errstate(over="ignore"):  # r2 / two_var beyond the float range: exp gives 0
+    # |x|^2 or |x|^2 / (2 sigma^2) beyond the float range is inf: exp gives 0
+    with np.errstate(over="ignore"):
+        for xa in grid.coordinate_arrays():
+            r2 = r2 + xa**2
+        if two_var == math.inf and np.isinf(r2).any():
+            raise InvalidInput(
+                f"sigma {sigma} on extent {grid.extent}: both |x|^2 and 2 sigma^2 "
+                "are outside the float range"
+            )
         v = np.exp(-r2 / two_var)
     got = grid.cell_volume * _exact_sum(v)
     return Field(grid, v * (mass / got))

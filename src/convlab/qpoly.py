@@ -9,11 +9,11 @@ for solutions of f >= sum a_n (*^n f), and q_max bounds admissible seeds.
 This module is the only place that turns a_2..a_N into coefficients: P and
 Q as ascending integer tuples (CoeffVector.p, CoeffVector.q), with
 derivative() for the rest. Other modules apply P through this layout,
-never by degree: field.apply_p by Horner over P on mass symbols, series
-by Horner over P on truncated power series and reciprocal_qprime through
-P'. Two evaluators read the layout here. _horner is the float Horner, at
-real or complex x or arrays of them, behind eval_p, eval_q and disk's roots,
-residuals and sampled pairs.
+never by degree: _horner on mass symbols (field.apply_p, construct),
+series by Horner over P on truncated power series and reciprocal_qprime
+through P'. Two evaluators read the layout here. _horner is the one float
+evaluator, in place on an array, at real or complex x or arrays of them:
+also eval_p, eval_q and disk's roots, residuals and sampled pairs.
 _exact_at is exact: every certified number rests on it, the signs of Q'
 that prove t_q here, and the disk sups P'(r), P(r)/r and the
 mass-certificate rows, each rounded once.
@@ -126,13 +126,24 @@ def derivative(c: Sequence) -> tuple:
     return tuple(k * ck for k, ck in enumerate(c) if k)
 
 
-def _horner(c: Sequence, x):
+def _horner(c: Sequence, x, out=None):
     """sum_k c_k x^k for ascending coefficients c, in float or complex
-    arithmetic as x is, rounding at every step."""
-    acc = 0.0
-    for ck in reversed(c):
-        acc = acc * x + ck
-    return acc
+    arithmetic as x is, from the top nonzero coefficient, adding no zero
+    one. Works in place on an array: in out when given (a buffer of x's
+    shape other than x), else in 0.0 * x + c_top, which keeps x's shape."""
+    top = len(c) - 1
+    while top and not c[top]:
+        top -= 1
+    if out is None:
+        out = 0.0 * x
+        out += c[top]
+    else:
+        out.fill(c[top])
+    for ck in reversed(c[:top]):
+        out *= x
+        if ck:
+            out += ck
+    return out
 
 
 def _exact_at(c: Sequence[int], t: float) -> tuple[int, int]:

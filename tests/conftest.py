@@ -233,10 +233,20 @@ def fixed_point(step, start: Field, tol: float, max_iter: int):
     return current, report
 
 
+def horner_from_zero(c, x):
+    """sum_k c_k x^k by Horner from 0, adding every coefficient and
+    allocating at every step: the float evaluator qpoly._horner was before
+    it started from the top nonzero coefficient, kept as its oracle."""
+    acc = 0.0
+    for ck in reversed(c):
+        acc = acc * x + ck
+    return acc
+
+
 def fill_first_horner(t: np.ndarray, coeffs: CoeffVector, out: np.ndarray) -> np.ndarray:
     """out <- P(t), Horner over CoeffVector.p in place from out = 0: the
-    form field._p_of_symbol had before it started from the top nonzero
-    coefficient, kept as its oracle."""
+    form of the mass-symbol Horner before it started from the top nonzero
+    coefficient, kept as the oracle of qpoly._horner with out."""
     out.fill(0)
     for ck in reversed(coeffs.p):
         out *= t

@@ -175,6 +175,28 @@ class TestResolvent:
         with pytest.raises(ValueError):
             resolvent_apply(f, 1.0, m=0)
 
+    @pytest.mark.parametrize(
+        "xi, m, message",
+        [(math.inf, 1, "spectral shift xi must be positive and finite, got inf"),
+         (1e-320, 1, "xi^m is outside the float range for xi = 1e-320, m = 1"),
+         (1e300, 2, "xi^m is outside the float range for xi = 1e+300, m = 2")],
+        ids=["inf", "1e-320", "1e300-m2"],
+    )
+    def test_shift_beyond_float_range(self, xi, m, message):
+        # refused as BoseProblem refuses it: R_m(0) = xi^(-m) must be finite
+        # and nonzero
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            resolvent_apply(uniform_field(G), xi, m)
+
+    def test_small_box_runs_quietly(self):
+        # ||k||^2 reaches 6.4e307, finite, and 4 pi^2 ||k||^2 passes the float
+        # range: R_m is 0 there, with no warning. Every other mode is damped
+        # below 1e-300, so the delta's image is flat with the mass 1 / xi
+        grid = Grid(dim=1, extent=1e-153, points_per_axis=16)
+        out = resolvent_apply(delta_field(grid, mass=1.0), 2.0)
+        assert integral(out) == pytest.approx(0.5, rel=1e-14)
+        assert np.allclose(out.values, 0.5 / grid.extent, rtol=1e-14, atol=0.0)
+
     def test_order_must_be_an_integer(self):
         # 1.5 used to apply a fractional power of the resolvent
         with pytest.raises(InvalidInput, match=r"^m must be an integer, got 1\.5$"):
@@ -211,11 +233,16 @@ class TestSolve:
         with pytest.raises(ValueError):
             bose_solve(problem(v_mass=0.3, xi=0.7, m=2))  # 0.3 / 0.49 >= 0.5
 
-    @pytest.mark.parametrize("xi", [1e300, 1e-200])
-    def test_smallness_guard_power_beyond_float_range(self, xi):
-        # xi^m overflows (a Python float power raises) or underflows to 0
+    @pytest.mark.parametrize(
+        "xi, v_mass", [(1e300, 0.3), (1e-200, 0.3), (1e-160, 0.0)],
+        ids=["1e+300", "1e-200", "1e-160"],
+    )
+    def test_smallness_guard_power_beyond_float_range(self, xi, v_mass):
+        # xi^m overflows (a Python float power raises) or underflows to 0,
+        # or is subnormal, so that R_m(0) = xi^(-m) overflows: refused even
+        # where V = 0 would give u = 0
         with pytest.raises(InvalidInput, match=re.escape(f"xi = {xi}, m = 2")):
-            bose_solve(problem(xi=xi, m=2))
+            bose_solve(problem(xi=xi, m=2, v_mass=v_mass))
 
     def test_linear_case_dense_oracle(self):
         prob = problem(v_mass=0.3)

@@ -378,11 +378,17 @@ class TestWitness:
               "--points", "16"], 0),
             (["bose", "--V", "uniform:mass=0.1", "--dim", "1", "--extent", "1e-300",
               "--points", "16"], 3),
+            (["bose", "--V", "uniform:mass=0.1", "--dim", "1", "--extent", "1e-153",
+              "--points", "16"], 3),
+            (["construct", "--coeffs", "1", "--dim", "1", "--extent", "1e300", "--points", "16",
+              "--psi", "gaussian:sigma=1e150,mass=0.1"], 0),
         ],
-        ids=["witness-huge-scale", "witness-tiny-box", "bose-tiny-box"],
+        ids=["witness-huge-scale", "witness-tiny-box", "bose-tiny-box", "bose-small-box",
+             "construct-huge-box"],
     )
     def test_extreme_scales_run_quietly(self, capsys, argv, code):
-        # -2 pi t = -inf at the zero frequency, and ||k||^2 past the float range
+        # -2 pi t = -inf at the zero frequency, ||k||^2 or 4 pi^2 ||k||^2
+        # past the float range, and |x|^2 past it in a Gaussian seed
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(argv) == code
@@ -391,6 +397,19 @@ class TestWitness:
 
 
 class TestBose:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["--V", "uniform:mass=0", "--xi", "1e-320", "--dim", "1", "--extent", "16",
+           "--points", "64"], "xi^m is outside the float range for xi = 1e-320, m = 1")],
+        ids=["bose-subnormal-xi"],
+    )
+    def test_shift_beyond_float_range(self, tmp_path, capsys, argv, message):
+        # R_m(0) = xi^(-m) would overflow: refused where xi enters, before
+        # any step
+        assert main(["bose", *argv]) == 2
+        assert read_json(tmp_path / "convlab-manifest.json")["exit_code"] == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_report(self, tmp_path):
         code = main(
             ["bose", "--V", "gaussian:sigma=0.6,mass=0.3", "--mu", "0.01",

@@ -285,6 +285,20 @@ class TestSpectralOracle:
         assert abs(l1_norm(f - before) - rep.l1_deltas[-1]) <= bound
         assert abs(rep.residual - integral(psi - g)) <= bound
 
+    @pytest.mark.parametrize("grid", GRIDS, ids=["1d", "2d", "3d"])
+    @pytest.mark.parametrize("c", VECTORS, ids=lambda c: ",".join(map(str, c.coeffs)))
+    def test_masses_are_the_eval_p_recursion(self, grid, c):
+        # the zero frequency's imaginary part stays +0, so its real part
+        # runs the float recursion s <- masses[0] + eval_p(c, s), bit for bit
+        p = build_poly(c)
+        for frac in (0.3, 0.9):
+            psi = gaussian_field(grid, sigma=0.7, mass=frac * p.q_max)
+            _, rep = construct(psi, c, p)
+            want = [rep.masses[0]]
+            for _ in rep.l1_deltas:
+                want.append(rep.masses[0] + eval_p(c, want[-1]))
+            assert [m.hex() for m in rep.masses] == [m.hex() for m in want]
+
     def test_no_transform_in_the_loop(self, monkeypatch):
         calls = count_transforms(monkeypatch)
         counts = {}
@@ -365,9 +379,9 @@ class TestFrozenFrequencies:
     @staticmethod
     def spy_sizes(monkeypatch):
         sizes = []
-        real = constructor_mod._p_of_symbol
+        real = constructor_mod._horner
         monkeypatch.setattr(
-            constructor_mod, "_p_of_symbol", lambda t, c, out: sizes.append(t.size) or real(t, c, out)
+            constructor_mod, "_horner", lambda c, x, out: sizes.append(x.size) or real(c, x, out=out)
         )
         return sizes
 

@@ -35,6 +35,7 @@ from convlab import (
 import convlab.field as field_module
 from convlab.bose import resolvent_apply
 from convlab.field import _exact_sum, _field_from_symbol, _k_squared, _mass_symbol
+from convlab.qpoly import _horner
 from convlab.witness import MIN_RESOLUTION, PoissonParams, poisson_field
 
 from conftest import fill_first_horner, full_k_squared, linf_diff, random_smooth_field
@@ -438,7 +439,7 @@ class TestApplyP:
         noise = rng.standard_normal(4000) + 1j * rng.standard_normal(4000)
         t = np.concatenate([zeros, mixed, noise * np.ldexp(1.0, rng.integers(-80, 1, 4000))])
         with np.errstate(over="raise", invalid="raise"):
-            got = field_module._p_of_symbol(t, c, np.empty_like(t))
+            got = _horner(c.p, t, out=np.empty_like(t))
             want = fill_first_horner(t, c, np.empty_like(t))
         assert got.tobytes() == want.tobytes()
 
@@ -754,6 +755,16 @@ class TestReferenceFields:
             warnings.simplefilter("error")
             f = gaussian_field(G1, sigma=1.1e-154, mass=0.1)
         assert f.values.tobytes() == delta_field(G1, mass=0.1).values.tobytes()
+
+    def test_gaussian_sigma_and_box_beyond_float_range(self):
+        # 2 sigma^2 and the corner's |x|^2 are both inf: r^2 / (2 sigma^2)
+        # would be nan there
+        grid = Grid(dim=1, extent=1e300, points_per_axis=16)
+        with pytest.raises(
+            InvalidInput,
+            match=re.escape("sigma 1e+299 on extent 1e+300: both |x|^2 and 2 sigma^2 are outside"),
+        ):
+            gaussian_field(grid, sigma=1e299, mass=0.1)
 
 
 class TestIO:

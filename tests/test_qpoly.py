@@ -13,6 +13,7 @@ from conftest import (
     eval_p_prime_exact,
     eval_q_exact,
     eval_q_prime_exact,
+    horner_from_zero,
 )
 
 
@@ -309,6 +310,72 @@ class TestHorner:
             for x in (0.0, 0.1, t, 0.75, -0.3):
                 assert eval_p(c, x).hex() == old_p(c.coeffs, x).hex()
                 assert p_prime(c, x).hex() == old_p_prime(c.coeffs, x).hex()
+
+    # ascending layouts with zero coefficients below, between and above the
+    # others, negative and float ones, and a constant
+    LAYOUTS = [(5,), (0, 0, 1), (0, 0, 1, 0), (0, 0, 0, 0, 3), (0, 1, -2, 0, -3),
+               (0, 0, 2**60 + 1, 0, 7), (1.5, 0.0, -0.25, 0.0, 2.0, 0.0)]
+    PARTS = [0.0, -0.0, 1e-300, -2.5e-160, 3.0e-3, 0.75, -1.0, 1.5, -2.0]
+
+    @staticmethod
+    def arguments(kind):
+        rng = np.random.default_rng(29)
+        parts = TestHorner.PARTS
+        if kind == "float":
+            return parts
+        if kind == "complex":
+            return [complex(x, y) for x in parts for y in parts]
+        real = np.concatenate([parts, rng.uniform(-2.0, 2.0, 500)])
+        if kind == "float-array":
+            return [real]
+        return [real + 1j * np.concatenate([parts[::-1], rng.uniform(-2.0, 2.0, 500)])]
+
+    @pytest.mark.parametrize(
+        "kind, with_out",
+        [("float", False), ("complex", False), ("float-array", False),
+         ("float-array", True), ("complex-array", False), ("complex-array", True)],
+        ids=["float", "complex", "float-array", "float-array-out", "complex-array",
+             "complex-array-out"],
+    )
+    def test_matches_horner_from_zero(self, kind, with_out):
+        # equal under == to the Horner from 0; the bytes may differ only in
+        # the sign of an exact-zero part, where no + 0 is added
+        for c in self.LAYOUTS:
+            for x in self.arguments(kind):
+                before = np.copy(x)
+                out = np.empty_like(x) if with_out else None
+                got = _horner(c, x, out=out)
+                want = horner_from_zero(c, x)
+                if with_out:
+                    assert got is out
+                else:
+                    assert type(got) is type(want)
+                assert np.shape(got) == np.shape(want)
+                assert np.asarray(got).dtype == np.asarray(want).dtype
+                assert np.array_equal(got, want)
+                g = np.asarray(got, dtype=complex).ravel()
+                w = np.asarray(want, dtype=complex).ravel()
+                for gp, wp in ((g.real, w.real), (g.imag, w.imag)):
+                    assert gp[wp != 0].tobytes() == wp[wp != 0].tobytes()
+                assert np.asarray(x).tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("with_out", [False, True], ids=["new", "out"])
+    def test_constant_keeps_the_shape(self, with_out):
+        x = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+        out = np.empty_like(x) if with_out else None
+        got = _horner((5,), x, out=out)
+        assert got.shape == (3, 4) and np.all(got == 5.0)
+        scalar = _horner((5,), 0.25)
+        assert scalar == 5.0 and type(scalar) is float
+
+    def test_eval_p_at_negative_zero(self):
+        # P(-0) = (-0)^low a_low: -0.0 when the lowest degree with a_n > 0 is
+        # odd. The Horner from 0 adds + 0 at each zero coefficient: +0.0
+        for a, sign in (([1], "0x0.0p+0"), ([0, 1], "-0x0.0p+0"), ([2, 0, 1], "0x0.0p+0"),
+                        ([0, 3, 0, 1], "-0x0.0p+0"), ([0, 0, 4], "0x0.0p+0")):
+            c = CoeffVector(a)
+            assert eval_p(c, -0.0).hex() == sign
+            assert horner_from_zero(c.p, -0.0).hex() == "0x0.0p+0"
 
 
 class TestEval:
